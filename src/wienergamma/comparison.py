@@ -43,10 +43,6 @@ class BlockOverlapError(ValueError):
     """The two fields of a comparison share coordinates."""
 
 
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
-
-
 @dataclass(frozen=True)
 class Estimate:
     value: float
@@ -463,47 +459,36 @@ def slepian_experiment(pair: FieldPair, fn: HessianFunction,
 # Concentration bound
 # ---------------------------------------------------------------------------
 
-def operator_norm(c: np.ndarray, tol: float = 1e-8, max_iterations: int = 10_000) -> float:
-    """Largest |eigenvalue| of a symmetric matrix by power iteration on C^2."""
+def operator_norm(c: np.ndarray) -> float:
+    """Largest |eigenvalue| of a symmetric matrix."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("operator_norm expects a square matrix")
     if np.max(np.abs(c - c.T)) > 1e-10:
         raise ValueError("operator_norm expects a symmetric matrix")
-    if not np.any(c):
-        return 0.0
-    rng = np.random.default_rng(0xC0)
-    v = rng.standard_normal(c.shape[0])
-    v /= np.linalg.norm(v)
-    q_prev = math.inf
-    for _ in range(max_iterations):
-        cv = c @ v
-        w_vec = c @ cv
-        q = float(v @ w_vec)  # Rayleigh quotient of C^2
-        norm = np.linalg.norm(w_vec)
-        if norm == 0.0:
-            return 0.0
-        v = w_vec / norm
-        if abs(q - q_prev) <= 0.01 * tol * max(1.0, abs(q)):
-            return math.sqrt(max(q, 0.0))
-        q_prev = q
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iterations} iterations")
+    return float(np.max(np.abs(np.linalg.eigvalsh(c))))
+
+
+def _gamma_matrix(fld: RandomField, omega: np.ndarray, cfg: MehlerConfig,
+                  rng: np.random.Generator):
+    """Entry (i, j) estimates Gamma_{F_i, F_j} at omega from its own stream,
+    drawn from ``rng`` in (i, j) order; returns (values, std_errors)."""
+    d = fld.dim
+    values = np.zeros((d, d))
+    errors = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            est = gamma_pointwise(fld.components[j], fld.components[i], omega, cfg,
+                                  rng=np.random.default_rng(rng.integers(2**63)))
+            values[i, j] = est.value
+            errors[i, j] = est.std_error
+    return values, errors
 
 
 def gamma_matrix_pointwise(fld: RandomField, omega: np.ndarray, cfg: MehlerConfig,
                            rng: np.random.Generator):
     """Gamma matrix estimate at one point with entrywise standard errors."""
-    d = fld.dim
-    matrix = np.zeros((d, d))
-    max_se = 0.0
-    for i in range(d):
-        for j in range(d):
-            est = gamma_pointwise(fld.components[j], fld.components[i], omega, cfg,
-                                  rng=np.random.default_rng(rng.integers(2**63)))
-            matrix[i, j] = est.value
-            max_se = max(max_se, est.std_error)
-    return matrix, max_se
+    return _gamma_matrix(fld, omega, cfg, rng)
 
 
 @dataclass(frozen=True)
@@ -546,11 +531,11 @@ def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
     margin = math.inf
     tolerance = 0.0
     for k in range(n_psd):
-        gamma, max_se = gamma_matrix_pointwise(fld, pts[k], cfg, psd_rng)
+        gamma, errors = gamma_matrix_pointwise(fld, pts[k], cfg, psd_rng)
         gamma = 0.5 * (gamma + gamma.T)
         eigmin = float(np.linalg.eigvalsh(c_matrix - gamma)[0])
         margin = min(margin, eigmin)
-        tolerance = max(tolerance, 3.0 * max_se)
+        tolerance = max(tolerance, 3.0 * float(errors.max()))
 
     op_norm = operator_norm(c_matrix)
     bound = math.exp(-float(x @ x) / (2.0 * op_norm))
@@ -667,15 +652,5 @@ def perturbation_gamma(f_field: RandomField, omega: np.ndarray, cfg: MehlerConfi
 
     Entry (i, j) estimates Gamma_{F_i, F_j}; returns (values, std_errors).
     """
-    d = f_field.dim
-    values = np.zeros((d, d))
-    errors = np.zeros((d, d))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E4]))
-    for i in range(d):
-        for j in range(d):
-            est = gamma_pointwise(f_field.components[j], f_field.components[i],
-                                  omega, cfg,
-                                  rng=np.random.default_rng(rng.integers(2**63)))
-            values[i, j] = est.value
-            errors[i, j] = est.std_error
-    return values, errors
+    return _gamma_matrix(f_field, omega, cfg, rng)

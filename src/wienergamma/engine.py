@@ -9,6 +9,12 @@ u = e^{-z} the semigroup integral over z in [0, inf) becomes
 with x_hat an independent standard normal copy.  The u-integral is
 Gauss-Legendre; the inner expectation is Monte Carlo (optionally antithetic).
 
+``mehler_integral`` is the single u-quadrature: it sums ``term`` over the
+Mehler-shifted inner copies, and ``inner_normals`` draws those copies.  Its
+four callers differ only in ``term``: ``gamma_pointwise``,
+``coupled_gamma_values``, ``minus_dl_gradient_estimates`` and
+``fbm.delta_fbm``.
+
 Two sampling regimes share this representation:
 
 * pointwise: one base point, ``mc_samples`` inner copies (``gamma_pointwise``);
@@ -115,13 +121,27 @@ def mehler_shift(omega: np.ndarray, omega_hat: np.ndarray, u: float) -> np.ndarr
     return u * omega + math.sqrt(1.0 - u * u) * omega_hat
 
 
-def _inner_normals(rng: np.random.Generator, n_draws: int, dim: int, antithetic: bool):
-    """Inner copies, shape (count, dim); antithetic pairs stacked as (+z, -z)."""
+def inner_normals(rng: np.random.Generator, lead: tuple, per: int, dim: int,
+                  antithetic: bool) -> np.ndarray:
+    """Inner copies of shape lead + (per, dim); antithetic pairs are stacked
+    on axis -2 as (+z, -z), so ``per`` rounds down to an even count."""
     if antithetic:
-        half = max(1, n_draws // 2)
-        z = rng.standard_normal((half, dim))
-        return np.concatenate([z, -z], axis=0)
-    return rng.standard_normal((max(1, n_draws), dim))
+        z = rng.standard_normal(lead + (per // 2, dim))
+        return np.concatenate([z, -z], axis=-2)
+    return rng.standard_normal(lead + (per, dim))
+
+
+def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, term):
+    """Gauss-Legendre sum over u of wt * term(mehler_shift(points, inner, u))."""
+    nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
+    total = 0.0
+    for u, wt in zip(nodes, weights):
+        # Kept in a local so the shifted copies stay allocated until the next
+        # node replaces them; freeing them inside term() made glibc return
+        # and re-fault the pages on every node.
+        shifted = mehler_shift(points, inner, u)
+        total += wt * term(shifted)
+    return total
 
 
 def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
@@ -140,15 +160,9 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
         raise ValueError(f"sample point must have shape ({space.dim},)")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
-    inner = _inner_normals(rng, cfg.mc_samples, space.dim, cfg.antithetic)
-
+    inner = inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic)
     df = f.gradient(omega)
-    per_sample = np.zeros(inner.shape[0])
-    for u, wt in zip(nodes, weights):
-        shifted = u * omega + math.sqrt(1.0 - u * u) * inner
-        per_sample += wt * (g.gradient(shifted) @ df)
-
+    per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y) @ df)
     if cfg.antithetic:
         half = inner.shape[0] // 2
         per_sample = 0.5 * (per_sample[:half] + per_sample[half:])
@@ -183,21 +197,12 @@ def coupled_gamma_values(f, g, points: np.ndarray, cfg: MehlerConfig,
     inner copies per point; shape (n_points,)."""
     points = np.asarray(points, dtype=float)
     n_points, dim = points.shape
-    per = inner_copies_per_point(cfg, n_points)
-    if cfg.antithetic:
-        z = rng.standard_normal((n_points, per // 2, dim))
-        inner = np.concatenate([z, -z], axis=1)
-    else:
-        inner = rng.standard_normal((n_points, per, dim))
-    nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
-
+    inner = inner_normals(rng, (n_points,), inner_copies_per_point(cfg, n_points),
+                          dim, cfg.antithetic)
     df = f.gradient(points)  # (n_points, dim)
-    values = np.zeros(n_points)
-    for u, wt in zip(nodes, weights):
-        shifted = u * points[:, None, :] + math.sqrt(1.0 - u * u) * inner
-        dg = g.gradient(shifted)  # (n_points, per, dim)
-        values += wt * np.mean(np.einsum("prd,pd->pr", dg, df), axis=1)
-    return values
+    # g.gradient(y) has shape (n_points, per, dim)
+    return mehler_integral(points[:, None, :], inner, cfg, lambda y: np.mean(
+        np.einsum("prd,pd->pr", g.gradient(y), df), axis=1))
 
 
 def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConfig,
@@ -211,20 +216,10 @@ def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConf
     """
     points = np.asarray(points, dtype=float)
     n_points, dim = points.shape
-    per = inner_copies_per_point(cfg, n_points)
-    if cfg.antithetic:
-        z = rng.standard_normal((n_points, per // 2, dim))
-        inner = np.concatenate([z, -z], axis=1)
-    else:
-        inner = rng.standard_normal((n_points, per, dim))
-    nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
-
-    estimates = np.zeros((len(functionals), n_points, dim))
-    for u, wt in zip(nodes, weights):
-        shifted = u * points[:, None, :] + math.sqrt(1.0 - u * u) * inner
-        for i, f in enumerate(functionals):
-            estimates[i] += wt * np.mean(f.gradient(shifted), axis=1)
-    return estimates
+    inner = inner_normals(rng, (n_points,), inner_copies_per_point(cfg, n_points),
+                          dim, cfg.antithetic)
+    return mehler_integral(points[:, None, :], inner, cfg, lambda y: np.stack(
+        [np.mean(f.gradient(y), axis=1) for f in functionals]))
 
 
 def require_centered(f, points: np.ndarray, what: str = "functional"):

@@ -22,8 +22,9 @@ from .core import WienerSpace, build_space
 from .engine import (
     MehlerConfig,
     RunningMoments,
-    gauss_legendre_unit,
     inner_copies_per_point,
+    inner_normals,
+    mehler_integral,
 )
 from .parallel import run_chunked
 
@@ -207,7 +208,6 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, s_idx: int, t_idx: int,
         raise ValueError(f"need 0 <= s_idx <= t_idx <= {grid.n_steps}")
     space = fbm_space(grid)
     times = grid.times
-    nodes, wts = gauss_legendre_unit(cfg.quad_nodes)
     per = inner_copies_per_point(cfg, n_outer)
     acc = RunningMoments()
 
@@ -221,20 +221,15 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, s_idx: int, t_idx: int,
     def job(chunk, rng):
         xi = rng.standard_normal((chunk, space.dim))
         base_grad = diff_gradient_whitened(xi)
-        if cfg.antithetic:
-            z = rng.standard_normal((chunk, per // 2, space.dim))
-            inner = np.concatenate([z, -z], axis=1)
-        else:
-            inner = rng.standard_normal((chunk, per, space.dim))
-        totals = np.zeros(chunk)
-        for u, wt in zip(nodes, wts):
-            shifted = u * xi[:, None, :] + math.sqrt(1.0 - u * u) * inner
+        inner = inner_normals(rng, (chunk,), per, space.dim, cfg.antithetic)
+
+        def term(shifted):
             shifted_grad = diff_gradient_whitened(
                 shifted.reshape(-1, space.dim)
             ).reshape(chunk, per, space.dim)
-            totals += wt * np.mean(
-                np.einsum("crd,cd->cr", shifted_grad, base_grad), axis=1)
-        return totals
+            return np.mean(np.einsum("crd,cd->cr", shifted_grad, base_grad), axis=1)
+
+        return mehler_integral(xi[:, None, :], inner, cfg, term)
 
     for vals in run_chunked(n_outer, workers, seed, 0xFB1, job):
         acc.add_batch(vals)

@@ -364,11 +364,6 @@ def medium_sample(family: MediumFamily, n: int, rng: np.random.Generator) -> Med
     )
 
 
-def medium_sample_batch(family: MediumFamily, n: int, n_media: int,
-                        rng: np.random.Generator) -> list[Medium]:
-    return [medium_sample(family, n, rng) for _ in range(n_media)]
-
-
 # ---------------------------------------------------------------------------
 # Conditions of the universality statement
 # ---------------------------------------------------------------------------

@@ -56,13 +56,16 @@ def test_sk_free_energy_two_spins():
     assert report["all_passed"]
 
 
-def test_reports_are_byte_identical(tmp_path):
-    config = {
-        "command": "sk-free-energy",
-        "seed": 9,
-        "workers": 1,
-        "params": {"n": 6, "beta": 0.8},
-    }
+@pytest.mark.parametrize("config", [
+    {"command": "sk-free-energy", "seed": 9, "workers": 1,
+     "params": {"n": 6, "beta": 0.8}},
+    {"command": "ibp-check", "seed": 9, "workers": 1, "mehler": SMALL_MEHLER,
+     "params": {"phi": ["tanh"], "n_outer": 2_000}},
+    {"command": "fbm-sde", "seed": 9, "workers": 2, "mehler": SMALL_MEHLER,
+     "params": {"m": 16, "n_paths": 2_000, "n_outer": 20,
+                "delta_pairs": [[0.0, 1.0]]}},
+], ids=lambda config: config["command"])
+def test_reports_are_byte_identical(tmp_path, config):
     first = run(config)
     second = run(config)
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -114,10 +114,11 @@ class TestGammaPointwise:
                 tol = max(0.01 * abs(exact), 3.0 * est.std_error, 1e-9)
                 assert abs(est.value - exact) <= tol, name
 
-    def test_unbiased_against_exact_product_expectation(self, space4):
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_unbiased_against_exact_product_expectation(self, space4, antithetic):
         # Averaging Gamma over outer points reproduces E[FG] for centered forms.
         rng = np.random.default_rng(20)
-        cfg = MehlerConfig(quad_nodes=24, mc_samples=4096, seed=5)
+        cfg = MehlerConfig(quad_nodes=24, mc_samples=4096, antithetic=antithetic, seed=5)
         for name, f, g in oracle_suite(space4)[:8]:
             pts = sample(space4, rng, 4000)
             vals = coupled_gamma_values(f, g, pts, cfg, rng)
