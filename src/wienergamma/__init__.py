@@ -60,7 +60,6 @@ from .fbm import (
     euler_solve,
     fbm_cov,
     fbm_sample,
-    sde_malliavin,
     sup_comparison,
     uniform_grid,
 )

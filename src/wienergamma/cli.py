@@ -61,20 +61,51 @@ from .sk import (
     paired_chaos2_gap,
 )
 
-RULE_3SE = "pass when lhs <= rhs + 3 SE"
-RULE_RESIDUAL = "pass when |lhs - rhs| <= 3 SE"
 RULE_EXACT = "exact arithmetic"
 RULE_REPORT = "report only"
 
 
 @dataclass(frozen=True)
 class Row:
+    """One check: ``rhs`` is the bound or the other side, without slack, and
+    ``std_error`` is the standard error of the comparison."""
+
     name: str
     lhs: float
     rhs: float
     std_error: float
     verdict: bool
     rule: str
+
+
+# Every 3-SE verdict comes from upper, lower or close.  Each takes scalars,
+# or arrays for an aggregated check, whose row is then the entry with the
+# least slack: that entry passes exactly when every entry does.
+
+def _tightest(name, lhs, rhs, se, slack, rule) -> Row:
+    lhs, rhs, se, slack = (np.ravel(a) for a in np.broadcast_arrays(lhs, rhs, se, slack))
+    k = int(np.argmin(slack))
+    return Row(name, float(lhs[k]), float(rhs[k]), float(se[k]),
+               bool(slack[k] >= 0.0), rule)
+
+
+def upper(name, lhs, rhs, se, atol=0.0) -> Row:
+    """Passes when lhs <= rhs + 3 se + atol."""
+    return _tightest(name, lhs, rhs, se, rhs + 3.0 * se + atol - lhs,
+                     "pass when lhs <= rhs + 3 SE" + (f" + {atol:g}" if atol else ""))
+
+
+def lower(name, lhs, rhs, se, atol=0.0) -> Row:
+    """Passes when lhs >= rhs - 3 se - atol."""
+    return _tightest(name, lhs, rhs, se, lhs - (rhs - 3.0 * se - atol),
+                     "pass when lhs >= rhs - 3 SE" + (f" - {atol:g}" if atol else ""))
+
+
+def close(name, lhs, rhs, se, rel=0.0) -> Row:
+    """Passes when |lhs - rhs| <= max(rel |rhs|, 3 se)."""
+    slack = np.maximum(rel * np.abs(rhs), 3.0 * se) - np.abs(lhs - rhs)
+    bound = f"max({rel:g} |rhs|, 3 SE)" if rel else "3 SE"
+    return _tightest(name, lhs, rhs, se, slack, f"pass when |lhs - rhs| <= {bound}")
 
 
 def _phi_pair(name: str):
@@ -113,21 +144,13 @@ def run_gamma(params, seed, workers, cfg):
     points = sample(space, rng, n_points)
     rows = []
     for name, f, g in oracle_suite(space):
-        worst_gap = 0.0
-        worst_tol = math.inf
-        ok = True
-        for k in range(n_points):
-            est = gamma_pointwise(f, g, points[k], cfg,
-                                  rng=np.random.default_rng(rng.integers(2**63)))
-            exact = float(gamma_oracle(f, g, points[k]))
-            gap = abs(est.value - exact)
-            tol = max(0.01 * abs(exact), 3.0 * est.std_error)
-            if gap > tol:
-                ok = False
-            if gap - tol > worst_gap - worst_tol:
-                worst_gap, worst_tol = gap, tol
-        rows.append(Row(f"gamma/{name}", worst_gap, worst_tol, worst_tol / 3.0,
-                        ok, "pass when |engine - oracle| <= max(1%, 3 SE)"))
+        ests = [gamma_pointwise(f, g, points[k], cfg,
+                                rng=np.random.default_rng(rng.integers(2**63)))
+                for k in range(n_points)]
+        exact = [float(gamma_oracle(f, g, points[k])) for k in range(n_points)]
+        rows.append(close(f"gamma/{name}", np.array([e.value for e in ests]),
+                          np.array(exact), np.array([e.std_error for e in ests]),
+                          rel=0.01))
     return rows
 
 
@@ -151,8 +174,8 @@ def run_ibp_check(params, seed, workers, cfg):
             phi, phi_prime = _phi_pair(phi_name)
             res = ibp_residual(phi, phi_prime, f, g, n_outer, cfg,
                                seed=seed + 131 * pair_index)
-            rows.append(Row(f"ibp/{name}/{phi_name}", res.lhs, res.rhs,
-                            res.std_error, res.passed, RULE_RESIDUAL))
+            rows.append(close(f"ibp/{name}/{phi_name}", res.lhs, res.rhs,
+                              res.std_error))
     return rows
 
 
@@ -181,8 +204,8 @@ def run_poincare(params, seed, workers, cfg):
         for p in p_values:
             res = poincare_check(f, float(p), n_outer, cfg,
                                  seed=seed + 977 * fn_index)
-            rows.append(Row(f"poincare/{text}/p={p:g}", res.lhs, res.rhs,
-                            res.std_error, res.passed, RULE_3SE))
+            rows.append(upper(f"poincare/{text}/p={p:g}", res.lhs, res.rhs,
+                              res.std_error))
     return rows
 
 
@@ -199,17 +222,12 @@ def run_sudakov(params, seed, workers, cfg):
     pair = build_gaussian_pair(sigma_f**2 * np.eye(d), sigma_g**2 * np.eye(d))
     report = sudakov_fernique_experiment(pair, betas, t_grid, cfg, n_outer,
                                          n_sup, seed=seed, workers=workers)
-    rows = [
-        Row(f"sudakov/phi-prime/beta={r.beta:g}/t={r.t:.3f}", r.value,
-            3.0 * r.std_error, r.std_error, r.nonpositive_within_3se,
-            "pass when phi' <= 3 SE")
-        for r in report.rows
-    ]
-    slack = 3.0 * math.hypot(report.e_max_f.std_error, report.e_max_g.std_error)
-    rows.append(Row("sudakov/max-comparison", report.e_max_f.value,
-                    report.e_max_g.value + slack,
-                    math.hypot(report.e_max_f.std_error, report.e_max_g.std_error),
-                    report.max_comparison_holds, RULE_3SE))
+    rows = [upper(f"sudakov/phi-prime/beta={r.beta:g}/t={r.t:.3f}", r.value, 0.0,
+                  r.std_error)
+            for r in report.rows]
+    rows.append(upper("sudakov/max-comparison", report.e_max_f.value,
+                      report.e_max_g.value,
+                      math.hypot(report.e_max_f.std_error, report.e_max_g.std_error)))
     for beta in betas:
         rows.append(Row(f"sudakov/sandwich-gap/beta={beta:g}",
                         report.sandwich_gaps[beta], math.log(d) / beta, 0.0,
@@ -226,11 +244,8 @@ def run_sudakov(params, seed, workers, cfg):
     ])
     e_base = expected_max(base, n_sup, seed=seed + 11, workers=workers)
     e_noisy = expected_max(noisy, n_sup, seed=seed + 12, workers=workers)
-    slack = 3.0 * math.hypot(e_base.std_error, e_noisy.std_error)
-    rows.append(Row("sudakov/additive-noise-baseline", e_base.value,
-                    e_noisy.value + slack,
-                    math.hypot(e_base.std_error, e_noisy.std_error),
-                    e_base.value <= e_noisy.value + slack, RULE_3SE))
+    rows.append(upper("sudakov/additive-noise-baseline", e_base.value, e_noisy.value,
+                      math.hypot(e_base.std_error, e_noisy.std_error)))
     return rows
 
 
@@ -248,18 +263,11 @@ def run_slepian(params, seed, workers, cfg):
     fn = quadratic_function(np.ones((d, d)))
     report = slepian_experiment(pair, fn, default_t_grid(int(params.get("t_points", 11))),
                                 cfg, n_outer, n_value, seed=seed, workers=workers)
-    rows = [
-        Row(f"slepian/phi-prime/t={r.t:.3f}", r.value, -3.0 * r.std_error,
-            r.std_error, r.value >= -3.0 * r.std_error,
-            "pass when phi' >= -3 SE")
-        for r in report.rows
-    ]
-    slack = 3.0 * math.hypot(report.e_f_of_f.std_error, report.e_f_of_g.std_error)
-    rows.append(Row("slepian/functional-comparison", report.e_f_of_f.value,
-                    report.e_f_of_g.value - slack,
-                    math.hypot(report.e_f_of_f.std_error, report.e_f_of_g.std_error),
-                    report.functional_comparison_holds,
-                    "pass when E f(F) >= E f(G) - 3 SE"))
+    rows = [lower(f"slepian/phi-prime/t={r.t:.3f}", r.value, 0.0, r.std_error)
+            for r in report.rows]
+    rows.append(lower("slepian/functional-comparison", report.e_f_of_f.value,
+                      report.e_f_of_g.value,
+                      math.hypot(report.e_f_of_f.std_error, report.e_f_of_g.std_error)))
     return rows
 
 
@@ -275,11 +283,7 @@ def run_concentration(params, seed, workers, cfg):
                                   np.array([float(params.get("x", 2.0))]),
                                   n_outer, cfg, n_psd=8, seed=seed,
                                   workers=workers)
-        rows.append(Row("concentration/scalar/psd", res.psd_margin,
-                        -res.psd_tolerance, res.psd_tolerance / 3.0, res.psd_ok,
-                        "pass when min eig(C - Gamma) >= -3 SE"))
-        rows.append(Row("concentration/scalar/tail", res.tail,
-                        res.bound, res.tail_std_error, res.bound_holds, RULE_3SE))
+        rows += _concentration_rows("scalar", res)
     if case in ("chaos2", "both"):
         space = build_space(4)
         exprs = [w(0) + 0.1 * _hermite2(2), w(1) + 0.1 * _hermite2(3)]
@@ -288,12 +292,16 @@ def run_concentration(params, seed, workers, cfg):
         res = concentration_check(fld, 3.0 * np.eye(2), x, n_outer, cfg,
                                   n_psd=int(params.get("n_psd", 16)),
                                   seed=seed + 1, workers=workers)
-        rows.append(Row("concentration/chaos2/psd", res.psd_margin,
-                        -res.psd_tolerance, res.psd_tolerance / 3.0, res.psd_ok,
-                        "pass when min eig(C - Gamma) >= -3 SE"))
-        rows.append(Row("concentration/chaos2/tail", res.tail,
-                        res.bound, res.tail_std_error, res.bound_holds, RULE_3SE))
+        rows += _concentration_rows("chaos2", res)
     return rows
+
+
+def _concentration_rows(case, res) -> list[Row]:
+    # The absolute floor keeps an exactly deterministic Gamma (SE 0) from
+    # failing over a last-bit eigenvalue.
+    return [lower(f"concentration/{case}/psd", res.psd_margin, 0.0,
+                  res.psd_std_error, atol=1e-12),
+            upper(f"concentration/{case}/tail", res.tail, res.bound, res.tail_std_error)]
 
 
 def _hermite2(index):
@@ -321,24 +329,12 @@ def run_perturbation(params, seed, workers, cfg):
     f_field, g_field, space = build_perturbed_pair(spec, rng)
     base = g_rows @ g_rows.T
 
-    rows = []
     pts = sample(space, np.random.default_rng(np.random.SeedSequence([seed, 0x9F])),
                  n_points)
-    worst = math.inf
-    worst_tol = 0.0
-    ok = True
-    for k in range(n_points):
-        values, errors = perturbation_gamma(f_field, pts[k], cfg, seed=seed + k)
-        margin = values - base
-        idx = np.unravel_index(np.argmin(margin + 3.0 * errors), margin.shape)
-        if margin[idx] < -3.0 * errors[idx] - 1e-9:
-            ok = False
-        if margin[idx] < worst:
-            worst = float(margin[idx])
-            worst_tol = float(3.0 * errors[idx])
-    rows.append(Row("perturbation/gamma-dominates-covariance", worst,
-                    -worst_tol, worst_tol / 3.0, ok,
-                    "pass when Gamma_ij - <g_i, g_j> >= -3 SE entrywise"))
+    values, errors = zip(*(perturbation_gamma(f_field, pts[k], cfg, seed=seed + k)
+                           for k in range(n_points)))
+    rows = [lower("perturbation/gamma-dominates-covariance", np.stack(values), base,
+                  np.stack(errors), atol=1e-9)]
 
     psi = exp_linear_function(np.asarray(params.get("theta", (0.4, 0.4)), dtype=float))
     eval_pts = sample(space, np.random.default_rng(np.random.SeedSequence([seed, 0xA0])),
@@ -347,9 +343,7 @@ def run_perturbation(params, seed, workers, cfg):
     vg = psi.fun(g_field.eval_all(eval_pts))
     se = math.hypot(float(np.std(vf, ddof=1)), float(np.std(vg, ddof=1))) / math.sqrt(n_value)
     lhs, rhs = float(np.mean(vf)), float(np.mean(vg))
-    rows.append(Row("perturbation/payoff-comparison", lhs, rhs - 3.0 * se, se,
-                    lhs >= rhs - 3.0 * se,
-                    "pass when E psi(F) >= E psi(G) - 3 SE"))
+    rows.append(lower("perturbation/payoff-comparison", lhs, rhs, se))
     return rows
 
 
@@ -386,34 +380,24 @@ def run_fbm_sde(params, seed, workers, cfg):
         s_idx, t_idx = int(round(frac_s * m)), int(round(frac_t * m))
         est = delta_fbm(grid, ZERO_DRIFT, s_idx, t_idx, cfg=cfg, n_outer=8,
                         seed=seed, workers=1)
-        tol = max(0.02 * est.reference, 3.0 * est.std_error)
-        rows.append(Row(f"fbm/delta-driftless/s={frac_s:g},t={frac_t:g}",
-                        est.value, est.reference, est.std_error,
-                        abs(est.value - est.reference) <= tol,
-                        "pass when |Delta - |t-s|^{2H}| <= max(2%, 3 SE)"))
+        rows.append(close(f"fbm/delta-driftless/s={frac_s:g},t={frac_t:g}",
+                          est.value, est.reference, est.std_error, rel=0.02))
 
     for frac_s, frac_t in ((0.125, 0.625), (0.0, 1.0)):
         s_idx, t_idx = int(round(frac_s * m)), int(round(frac_t * m))
         est = delta_fbm(grid, TANH_DRIFT, s_idx, t_idx, cfg=cfg,
                         n_outer=n_outer, seed=seed + 3, workers=workers)
-        rows.append(Row(f"fbm/delta-increasing-drift/s={frac_s:g},t={frac_t:g}",
-                        est.value, est.reference - 3.0 * est.std_error,
-                        est.std_error,
-                        est.value >= est.reference - 3.0 * est.std_error,
-                        "pass when Delta >= |t-s|^{2H} - 3 SE"))
+        rows.append(lower(f"fbm/delta-increasing-drift/s={frac_s:g},t={frac_t:g}",
+                          est.value, est.reference, est.std_error))
 
     up = sup_comparison(grid, TANH_DRIFT, n_paths=n_paths, seed=seed + 5,
                         workers=workers)
-    rows.append(Row("fbm/sup-increasing-drift", up.e_max_centered_sde,
-                    up.e_max_fbm - 3.0 * up.combined_se, up.combined_se,
-                    up.comparison_holds,
-                    "pass when E max(F - EF) >= E max B - 3 SE"))
+    rows.append(lower("fbm/sup-increasing-drift", up.e_max_centered_sde,
+                      up.e_max_fbm, up.combined_se))
     down = sup_comparison(grid, NEG_TANH_DRIFT, n_paths=n_paths, seed=seed + 6,
                           workers=workers)
-    rows.append(Row("fbm/sup-decreasing-drift", down.e_max_centered_sde,
-                    down.e_max_fbm + 3.0 * down.combined_se, down.combined_se,
-                    down.comparison_holds,
-                    "pass when E max(F - EF) <= E max B + 3 SE"))
+    rows.append(upper("fbm/sup-decreasing-drift", down.e_max_centered_sde,
+                      down.e_max_fbm, down.combined_se))
     return (rows, tables) if tables else rows
 
 
@@ -463,9 +447,8 @@ def run_sk_generic_bound(params, seed, workers, cfg):
         for n in ns:
             res = generic_bound_check(family, n, beta, f_name=f_name,
                                       n_media=n_media, seed=seed)
-            rows.append(Row(f"sk/generic-bound/{res.family_label}/N={n}",
-                            res.lhs, res.rhs, res.std_error, res.passed,
-                            RULE_3SE))
+            rows.append(upper(f"sk/generic-bound/{res.family_label}/N={n}",
+                              res.lhs, res.rhs, res.std_error))
     gap_media = int(params.get("gap_media", 4_000))
     gaps = []
     for n in ns:
@@ -581,9 +564,12 @@ def run(config: dict) -> dict:
     if command not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown command {command!r}; known commands: {known}")
+    params = config.get("params", {})
+    mehler = config.get("mehler", {})
+    if not isinstance(params, dict) or not isinstance(mehler, dict):
+        raise ValueError("params and mehler must be JSON objects")
     seed = int(config.get("seed", 0))
     workers = int(config.get("workers", default_workers()))
-    mehler = config.get("mehler", {})
     cfg = MehlerConfig(
         quad_nodes=int(mehler.get("quad_nodes", 32)),
         mc_samples=int(mehler.get("mc_samples", 4096)),
@@ -591,7 +577,7 @@ def run(config: dict) -> dict:
         seed=int(mehler.get("seed", seed)),
     )
     runner, _, _ = EXPERIMENTS[command]
-    outcome = runner(config.get("params", {}), seed, workers, cfg)
+    outcome = runner(params, seed, workers, cfg)
     rows, tables = outcome if isinstance(outcome, tuple) else (outcome, {})
     return {
         "schema": 1,
@@ -606,7 +592,7 @@ def run(config: dict) -> dict:
                 "antithetic": cfg.antithetic,
                 "seed": cfg.seed,
             },
-            "params": config.get("params", {}),
+            "params": params,
         },
         "version": __version__,
         "rows": [asdict(r) for r in rows],
@@ -666,16 +652,18 @@ def main(argv=None) -> int:
     if args.config is None:
         parser.error("--config is required unless --list is given")
 
-    config = json.loads(args.config.read_text())
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.workers is not None:
-        config["workers"] = args.workers
-
     started = time.monotonic()
     try:
+        config = json.loads(args.config.read_text())
+        if not isinstance(config, dict):
+            raise ValueError("a config must be a JSON object")
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.workers is not None:
+            config["workers"] = args.workers
         report = run(config)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, FloatingPointError) as exc:
+        # FloatingPointError covers EvaluationOverflow in a user's expression.
         print(f"error in config {args.config}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started

@@ -363,9 +363,10 @@ class Exp(Expression):
 
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)
-        with np.errstate(over="ignore"):
+        # An overflow is reported by Functional's finiteness check instead.
+        with np.errstate(over="ignore", invalid="ignore"):
             ev = np.exp(v)
-        return ev, ev[..., None] * g
+            return ev, ev[..., None] * g
 
     def max_coordinate(self):
         return self.child.max_coordinate()

@@ -62,18 +62,12 @@ class GammaEstimate:
 
 
 class RunningMoments:
-    """Streaming mean/variance (Welford, with Chan's merge for batches)."""
+    """Streaming mean/variance over batches (Chan's merge)."""
 
     def __init__(self):
         self.count = 0
         self.mean = 0.0
         self._m2 = 0.0
-
-    def add(self, x: float):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
 
     def add_batch(self, values: np.ndarray):
         values = np.asarray(values, dtype=float).ravel()
@@ -223,7 +217,13 @@ def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConf
 
 
 def require_centered(f, points: np.ndarray, what: str = "functional"):
-    """Reject a functional whose sample mean is not within 3 SE of zero."""
+    """Reject a functional that is not centered: by its exact ``mean()`` when
+    it has one (chaos forms), else when its sample mean at ``points`` is not
+    within 3 SE of zero."""
+    if hasattr(f, "mean"):
+        if f.mean() != 0.0:
+            raise CenteringError(f"{what} is not centered: exact mean {f.mean():.4g}")
+        return
     vals = f.eval(points)
     n = vals.size
     mean = float(np.mean(vals))
@@ -239,22 +239,17 @@ def require_centered(f, points: np.ndarray, what: str = "functional"):
 class IbpResult:
     lhs: float
     rhs: float
-    residual: float
     lhs_std_error: float
     rhs_std_error: float
     std_error: float  # combined
     n_outer: int
 
-    @property
-    def passed(self) -> bool:
-        return self.residual <= 3.0 * self.std_error
-
 
 def ibp_residual(phi, phi_prime, f, g, n_outer: int, cfg: MehlerConfig,
                  seed: int | None = None) -> IbpResult:
-    """Both sides of E[Phi(F) G] = E[Phi'(F) Gamma_{F,G}], with a residual.
+    """Both sides of E[Phi(F) G] = E[Phi'(F) Gamma_{F,G}].
 
-    G must be centered (checked on the outer sample at 3 standard errors).
+    G must be centered (see ``require_centered``).
     Both sides are averaged over the same fresh outer points; the combined
     standard error is the root-sum-square of the two sides'.
     """
@@ -277,7 +272,6 @@ def ibp_residual(phi, phi_prime, f, g, n_outer: int, cfg: MehlerConfig,
     return IbpResult(
         lhs=lhs_acc.mean,
         rhs=rhs_acc.mean,
-        residual=abs(lhs_acc.mean - rhs_acc.mean),
         lhs_std_error=lhs_acc.std_error,
         rhs_std_error=rhs_acc.std_error,
         std_error=combined,
@@ -297,10 +291,6 @@ class PoincareResult:
     @property
     def std_error(self) -> float:
         return math.hypot(self.lhs_std_error, self.rhs_std_error)
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + 3.0 * self.std_error
 
 
 def poincare_check(f, p: float, n_outer: int, cfg: MehlerConfig,

@@ -154,22 +154,6 @@ def _cumulative_bprime(values: np.ndarray, drift: DriftSpec,
     return np.concatenate([zeros, np.cumsum(segments, axis=-1)], axis=-1)
 
 
-def sde_malliavin(values: np.ndarray, drift: DriftSpec,
-                  times: np.ndarray) -> np.ndarray:
-    """Derivative matrix D[u, t] = 1{u <= t} exp(int_u^t b'(F_w) dw) on the grid.
-
-    The exponent uses the trapezoid rule, matching the first-order accuracy of
-    the Euler scheme.  Output shape (..., m + 1, m + 1) with u along rows.
-    """
-    c = _cumulative_bprime(np.asarray(values, dtype=float), drift, times)
-    log_d = c[..., None, :] - c[..., :, None]  # (u, t): c_t - c_u
-    d = np.exp(log_d)
-    m1 = times.size
-    mask = np.tril(np.ones((m1, m1)), k=-1).astype(bool)  # u > t entries
-    d[..., mask] = 0.0
-    return d
-
-
 def _increment_derivative(cumulative: np.ndarray, t_idx: int) -> np.ndarray:
     """d F_{t_idx} / d (increment j), j = 0..m-1, from the cumulative exponent.
 
@@ -243,21 +227,11 @@ class SupComparisonReport:
     e_max_centered_sde_se: float
     e_max_fbm: float
     e_max_fbm_se: float
-    monotone: str
     n_paths: int
 
     @property
     def combined_se(self) -> float:
         return math.hypot(self.e_max_centered_sde_se, self.e_max_fbm_se)
-
-    @property
-    def comparison_holds(self) -> bool:
-        gap = self.e_max_centered_sde - self.e_max_fbm
-        if self.monotone == "increasing":
-            return gap >= -3.0 * self.combined_se
-        if self.monotone == "decreasing":
-            return gap <= 3.0 * self.combined_se
-        return True
 
 
 def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
@@ -302,6 +276,5 @@ def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
         e_max_centered_sde_se=sde_acc.std_error,
         e_max_fbm=fbm_acc.mean,
         e_max_fbm_se=fbm_acc.std_error,
-        monotone=drift.monotone,
         n_paths=sde_acc.count,
     )

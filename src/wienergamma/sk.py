@@ -457,10 +457,6 @@ class GenericBoundResult:
     mean_star: float
     mean_family: float
 
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs + 3.0 * self.std_error
-
 
 def generic_bound_check(family: MediumFamily, n: int, beta: float,
                         f_name: str = "tanh", n_media: int = 200,

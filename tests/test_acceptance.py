@@ -24,6 +24,7 @@ from wienergamma.cli import (
     run_sk_generic_bound,
     run_slepian,
     run_sudakov,
+    upper,
     write_report,
 )
 from wienergamma.comparison import softmax_sup
@@ -189,7 +190,8 @@ class TestCriterion08Poincare:
         f = Functional(space, w(0))
         res = poincare_check(f, 2.0, n_outer=400_000, cfg=DEFAULT_CFG, seed=110)
         gap = abs(res.lhs - res.rhs)
-        announce(8, gap < 0.01 and res.passed,
+        row = upper("poincare/p=2", res.lhs, res.rhs, res.std_error)
+        announce(8, gap < 0.01 and row.verdict,
                  f"p=2 Gaussian case within 1% of equality (|{res.lhs:.5f} - "
                  f"{res.rhs:.5f}| = {gap:.5f})")
 

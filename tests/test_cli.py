@@ -1,12 +1,73 @@
 import json
 import math
+from dataclasses import asdict
+from functools import partial
 
+import numpy as np
 import pytest
 
-from wienergamma.cli import list_experiments, main, run, write_report
+from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 
 
 SMALL_MEHLER = {"quad_nodes": 8, "mc_samples": 256}
+
+# Rule text -> the constructor call that writes it; every other rule in a
+# report is exact or report-only.
+CONSTRUCTORS = {
+    "pass when lhs <= rhs + 3 SE": upper,
+    "pass when lhs >= rhs - 3 SE": lower,
+    "pass when lhs >= rhs - 3 SE - 1e-12": partial(lower, atol=1e-12),
+    "pass when lhs >= rhs - 3 SE - 1e-09": partial(lower, atol=1e-9),
+    "pass when |lhs - rhs| <= 3 SE": close,
+    "pass when |lhs - rhs| <= max(0.01 |rhs|, 3 SE)": partial(close, rel=0.01),
+    "pass when |lhs - rhs| <= max(0.02 |rhs|, 3 SE)": partial(close, rel=0.02),
+}
+OTHER_RULES = {
+    "exact arithmetic", "report only", "pass when |value - closed form| <= 1e-12",
+    "pass when bit-identical", "pass when |gap| decreases along the ladder",
+}
+
+
+class TestRowConstructors:
+    def test_upper_boundary(self):
+        assert upper("r", 2.5, 1.0, 0.5).verdict
+        assert not upper("r", np.nextafter(2.5, 3.0), 1.0, 0.5).verdict
+
+    def test_lower_boundary(self):
+        assert lower("r", 0.25, 1.0, 0.25).verdict
+        assert not lower("r", np.nextafter(0.25, 0.0), 1.0, 0.25).verdict
+
+    def test_close_boundary_on_both_sides(self):
+        for edge, outward, rhs in ((2.5, 3.0, 1.0), (-1.5, -2.0, 0.0)):
+            assert close("r", edge, rhs, 0.5).verdict
+            assert not close("r", np.nextafter(edge, outward), rhs, 0.5).verdict
+
+    def test_zero_standard_error(self):
+        assert upper("r", 1.0, 1.0, 0.0).verdict
+        assert not upper("r", np.nextafter(1.0, 2.0), 1.0, 0.0).verdict
+        assert lower("r", -1e-12, 0.0, 0.0, atol=1e-12).verdict
+        assert not lower("r", -2e-12, 0.0, 0.0, atol=1e-12).verdict
+        assert not lower("r", -1e-300, 0.0, 0.0).verdict
+        assert upper("r", 1.0 + 1e-12, 1.0, 0.0, atol=1e-12).verdict
+        assert not upper("r", 1.0 + 2e-12, 1.0, 0.0, atol=1e-12).verdict
+        assert close("r", 1.0, 1.0, 0.0).verdict
+        assert not close("r", np.nextafter(1.0, 2.0), 1.0, 0.0).verdict
+
+    def test_rel_dominates_three_se(self):
+        assert close("r", 2.19, 2.0, 0.01, rel=0.1).verdict
+        assert close("r", -2.19, -2.0, 0.01, rel=0.1).verdict
+        assert not close("r", 2.21, 2.0, 0.01, rel=0.1).verdict
+
+    def test_rules_without_slack_options_are_unchanged(self):
+        assert upper("r", 0.0, 0.0, 1.0).rule == "pass when lhs <= rhs + 3 SE"
+        assert close("r", 0.0, 0.0, 1.0).rule == "pass when |lhs - rhs| <= 3 SE"
+
+    def test_aggregate_row_is_the_entry_with_least_slack(self):
+        row = close("r", np.array([1.0, 1.4, 1.1]), 1.0, np.array([0.1, 0.1, 0.1]))
+        assert (row.lhs, row.rhs, row.std_error, row.verdict) == (1.4, 1.0, 0.1, False)
+        row = lower("r", np.array([[2.0, 0.9], [1.5, 1.0]]), np.array([1.0, 1.0]), 0.05)
+        assert (row.lhs, row.verdict) == (0.9, True)
+        assert row == lower("r", 0.9, 1.0, 0.05)
 
 
 def test_catalog_has_twelve_stable_entries():
@@ -64,6 +125,10 @@ def test_sk_free_energy_two_spins():
     {"command": "fbm-sde", "seed": 9, "workers": 2, "mehler": SMALL_MEHLER,
      "params": {"m": 16, "n_paths": 2_000, "n_outer": 20,
                 "delta_pairs": [[0.0, 1.0]]}},
+    {"command": "sudakov", "seed": 117, "workers": 1, "mehler": SMALL_MEHLER,
+     "params": {"d": 2, "betas": [2.0], "t_points": 3, "n_outer": 300, "n_sup": 2_000}},
+    {"command": "perturbation", "seed": 117, "workers": 1, "mehler": SMALL_MEHLER,
+     "params": {"n_points": 1, "n_value": 5_000}},
 ], ids=lambda config: config["command"])
 def test_reports_are_byte_identical(tmp_path, config):
     first = run(config)
@@ -141,6 +206,32 @@ def test_bad_config_returns_error(tmp_path):
     assert main(["--config", str(config_path), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"command": "sk-free-energy",',
+    "[1, 2]",
+    '{"command": "gamma", "params": [1]}',
+    '{"command": "sk-generic-bound", "params": {"ns": 8}}',
+    json.dumps({"command": "poincare", "mehler": SMALL_MEHLER,
+                "params": {"expr": "exp(exp(exp(w0)))", "n_outer": 2_000}}),
+], ids=["malformed-json", "top-level-array", "params-array", "scalar-ns", "overflow"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text)
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error in config ")
+    assert captured.err.count("\n") == 1
+
+
+def test_ibp_check_accepts_exactly_centered_chaos_forms():
+    # The oracle suite is centered exactly; at 500 outer points the sample
+    # mean of one pair used to fall outside 3 SE and abort the run.
+    report = run({"command": "ibp-check", "seed": 9, "workers": 1,
+                  "mehler": SMALL_MEHLER, "params": {"n_outer": 500}})
+    assert len(report["rows"]) == 36
+
+
 class TestSmokeRunners:
     """Each experiment at miniature scale: wiring, row schema, verdicts."""
 
@@ -150,7 +241,14 @@ class TestSmokeRunners:
         for row in report["rows"]:
             assert set(row) == {"name", "lhs", "rhs", "std_error", "verdict", "rule"}
             assert math.isfinite(row["lhs"]) and math.isfinite(row["rhs"])
-            assert row["rule"]
+            if row["rule"] in CONSTRUCTORS:
+                rebuilt = CONSTRUCTORS[row["rule"]](
+                    row["name"], row["lhs"], row["rhs"], row["std_error"])
+                assert asdict(rebuilt) == row
+            else:
+                assert row["rule"] in OTHER_RULES
+            if "/phi-prime/" in row["name"]:
+                assert row["rhs"] == 0.0 and math.copysign(1.0, row["rhs"]) == 1.0
         return report
 
     def test_gamma(self):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from wienergamma.chaos import expectation_of_product, gamma_oracle, oracle_suite
+from wienergamma.chaos import expectation_of_product, form, gamma_oracle, oracle_suite
+from wienergamma.cli import close, upper
 from wienergamma.core import Functional, Hermite, build_space, sample, w
 from wienergamma.engine import (
     CenteringError,
@@ -25,11 +26,29 @@ def space4():
     return build_space(4)
 
 
+class ScalarMoments(RunningMoments):
+    """One-value-at-a-time Welford update, the reference for the batch merge."""
+
+    def add(self, x: float):
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self._m2 += delta * (x - self.mean)
+
+
+def ibp_passed(res) -> bool:
+    return close("ibp", res.lhs, res.rhs, res.std_error).verdict
+
+
+def poincare_passed(res) -> bool:
+    return upper("poincare", res.lhs, res.rhs, res.std_error).verdict
+
+
 class TestRunningMoments:
     def test_matches_numpy(self):
         rng = np.random.default_rng(1)
         xs = rng.standard_normal(1_000) * 3.0 + 1.0
-        acc = RunningMoments()
+        acc = ScalarMoments()
         for x in xs:
             acc.add(float(x))
         assert acc.mean == pytest.approx(np.mean(xs), rel=1e-12)
@@ -204,7 +223,7 @@ class TestIbp:
                            n_outer=20_000, cfg=MehlerConfig(seed=11))
         assert res.rhs == pytest.approx(1.0, abs=1e-12)  # Gamma == 1 exactly
         assert res.lhs == pytest.approx(1.0, abs=4 * res.lhs_std_error)
-        assert res.passed
+        assert ibp_passed(res)
 
     def test_identity_h2(self, space4):
         f = Functional(space4, Hermite(2, w(0)))
@@ -212,14 +231,14 @@ class TestIbp:
                            n_outer=20_000, cfg=MehlerConfig(seed=12))
         assert res.lhs == pytest.approx(2.0, abs=4 * res.lhs_std_error)
         assert res.rhs == pytest.approx(2.0, abs=4 * res.rhs_std_error)
-        assert res.passed
+        assert ibp_passed(res)
 
     def test_square_odd_moment(self, space4):
         f = Functional(space4, w(0))
         res = ibp_residual(lambda x: x**2, lambda x: 2.0 * x, f, f,
                            n_outer=20_000, cfg=MehlerConfig(seed=13))
         assert res.lhs == pytest.approx(0.0, abs=4 * res.lhs_std_error)
-        assert res.passed
+        assert ibp_passed(res)
 
     def test_noncentered_rejected(self, space4):
         f = Functional(space4, w(0))
@@ -228,6 +247,15 @@ class TestIbp:
             ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, g,
                          n_outer=5_000, cfg=MehlerConfig(seed=14))
 
+    def test_chaos_form_mean_checked_exactly(self, space4):
+        # A shift of 0.01 is far inside 3 SE on 50 points; the exact mean
+        # still rejects it.
+        f = form(space4, (1.0, ((0, 1),)))
+        g = form(space4, (1.0, ((1, 2),)), (0.01, ()))
+        with pytest.raises(CenteringError, match="exact mean"):
+            ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, g,
+                         n_outer=50, cfg=MehlerConfig(seed=14))
+
 
 class TestPoincare:
     def test_p2_first_chaos_equality(self, space4):
@@ -235,21 +263,21 @@ class TestPoincare:
         res = poincare_check(f, p=2.0, n_outer=400_000, cfg=MehlerConfig(seed=15))
         assert res.rhs == pytest.approx(1.0, abs=1e-12)
         assert abs(res.lhs - res.rhs) < 0.01
-        assert res.passed
+        assert poincare_passed(res)
 
     def test_p4_first_chaos(self, space4):
         f = Functional(space4, w(0))
         res = poincare_check(f, p=4.0, n_outer=50_000, cfg=MehlerConfig(seed=16))
         assert res.rhs == pytest.approx(9.0, abs=1e-10)
         assert res.lhs == pytest.approx(3.0, abs=4 * res.lhs_std_error)
-        assert res.passed
+        assert poincare_passed(res)
 
     def test_p2_h2(self, space4):
         f = Functional(space4, Hermite(2, w(0)))
         res = poincare_check(f, p=2.0, n_outer=50_000, cfg=MehlerConfig(seed=17))
         assert res.lhs == pytest.approx(2.0, abs=4 * res.lhs_std_error)
         assert res.rhs == pytest.approx(2.0, abs=4 * res.rhs_std_error)
-        assert res.passed
+        assert poincare_passed(res)
 
     def test_p_below_two_rejected(self, space4):
         f = Functional(space4, w(0))

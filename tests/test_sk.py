@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from wienergamma.chaos import form, gamma_oracle
+from wienergamma.cli import upper
 from wienergamma.core import build_space
 from wienergamma.sk import (
     IID_GAUSSIAN,
@@ -233,13 +234,13 @@ class TestGenericBound:
         n_bar = 8 * 7 / 2
         expected_rhs = (3.0 / (2.0 * 64.0)) * n_bar * chaos2_abs_gamma_gap(1)
         assert res.rhs == pytest.approx(expected_rhs, rel=1e-12)
-        assert res.passed
+        assert upper("bound", res.lhs, res.rhs, res.std_error).verdict
 
     def test_correlated_family_ladder(self):
         for n in (8, 12):
             res = generic_bound_check(correlated_gaussian(3.0), n=n, beta=1.0,
                                       n_media=100, seed=18)
-            assert res.passed
+            assert upper("bound", res.lhs, res.rhs, res.std_error).verdict
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError, match="test map"):
