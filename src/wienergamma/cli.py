@@ -89,10 +89,10 @@ def _tightest(name, lhs, rhs, se, slack, rule) -> Row:
                bool(slack[k] >= 0.0), rule)
 
 
-def upper(name, lhs, rhs, se, atol=0.0) -> Row:
-    """Passes when lhs <= rhs + 3 se + atol."""
-    return _tightest(name, lhs, rhs, se, rhs + 3.0 * se + atol - lhs,
-                     "pass when lhs <= rhs + 3 SE" + (f" + {atol:g}" if atol else ""))
+def upper(name, lhs, rhs, se) -> Row:
+    """Passes when lhs <= rhs + 3 se."""
+    return _tightest(name, lhs, rhs, se, rhs + 3.0 * se - lhs,
+                     "pass when lhs <= rhs + 3 SE")
 
 
 def lower(name, lhs, rhs, se, atol=0.0) -> Row:
@@ -139,6 +139,8 @@ def _family_from_spec(spec) -> MediumFamily:
 def run_gamma(params, seed, workers, cfg):
     """Mehler-engine estimates against the exact chaos oracle, per pair."""
     n_points = int(params.get("n_points", 20))
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
     space = build_space(4)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A]))
     points = sample(space, rng, n_points)
@@ -315,6 +317,8 @@ def run_perturbation(params, seed, workers, cfg):
     covariance entrywise and a payoff with nonnegative cross-derivatives
     increases in mean."""
     n_points = int(params.get("n_points", 5))
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
     n_value = int(params.get("n_value", 150_000))
     chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
     g_rows = np.hstack([chol, np.zeros((2, 2))])
@@ -432,7 +436,9 @@ def run_sk_free_energy(params, seed, workers, cfg):
 def run_sk_generic_bound(params, seed, workers, cfg):
     """Free-energy comparison bound cells over families and sizes, plus the
     paired-gap ladder for the size-scaled chaos family."""
-    ns = tuple(params.get("ns", (8, 12, 16)))
+    ns = params.get("ns", (8, 12, 16))
+    if not isinstance(ns, (list, tuple)):
+        raise ValueError("ns must be a list of sizes")
     beta = float(params.get("beta", 1.0))
     n_media = int(params.get("n_media", 200))
     f_name = params.get("f", "tanh")
@@ -495,7 +501,9 @@ def run_sk_convergence(params, seed, workers, cfg):
     """Free-energy table across families and sizes with gaps to the star law."""
     from .sk import convergence_experiment
 
-    ns = tuple(params.get("ns", (8, 12, 16)))
+    ns = params.get("ns", (8, 12, 16))
+    if not isinstance(ns, (list, tuple)):
+        raise ValueError("ns must be a list of sizes")
     beta = float(params.get("beta", 1.0))
     n_media = int(params.get("n_media", 200))
     family_specs = params.get(
@@ -560,6 +568,11 @@ def list_experiments() -> list[dict]:
 
 def run(config: dict) -> dict:
     """Execute one experiment config; returns the report dictionary."""
+    return _execute(*_settings(config))
+
+
+def _settings(config: dict):
+    """Validate a config; returns (command, params, seed, workers, cfg)."""
     command = config.get("command")
     if command not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
@@ -576,6 +589,10 @@ def run(config: dict) -> dict:
         antithetic=bool(mehler.get("antithetic", True)),
         seed=int(mehler.get("seed", seed)),
     )
+    return command, params, seed, workers, cfg
+
+
+def _execute(command, params, seed, workers, cfg) -> dict:
     runner, _, _ = EXPERIMENTS[command]
     outcome = runner(params, seed, workers, cfg)
     rows, tables = outcome if isinstance(outcome, tuple) else (outcome, {})
@@ -661,10 +678,16 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.workers is not None:
             config["workers"] = args.workers
-        report = run(config)
-    except (OSError, ValueError, KeyError, TypeError, FloatingPointError) as exc:
-        # FloatingPointError covers EvaluationOverflow in a user's expression.
+        settings = _settings(config)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error in config {args.config}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        report = _execute(*settings)
+    except (ValueError, FloatingPointError) as exc:
+        # A parameter the runner rejects, or EvaluationOverflow in a user's
+        # expression; any other exception is a bug and keeps its traceback.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started
     written = write_report(report, args.out, args.format)

@@ -107,28 +107,24 @@ def fbm_sample(grid: FbmGrid, rng: np.random.Generator, size: int | None = None,
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift b with its derivative; b must be Lipschitz, and monotone when the
-    supremum comparison direction matters."""
+    """Drift b with its derivative; b must be Lipschitz."""
 
     b: object
     b_prime: object
     lipschitz_bound: float
-    monotone: str = "none"  # "increasing" | "decreasing" | "none"
 
     def __post_init__(self):
-        if self.monotone not in ("increasing", "decreasing", "none"):
-            raise ValueError(f"unknown monotone flag {self.monotone!r}")
         if self.lipschitz_bound <= 0:
             raise ValueError("lipschitz_bound must be positive")
 
 
 ZERO_DRIFT = DriftSpec(b=lambda x: np.zeros_like(x), b_prime=lambda x: np.zeros_like(x),
-                       lipschitz_bound=1.0, monotone="increasing")
+                       lipschitz_bound=1.0)
 TANH_DRIFT = DriftSpec(b=np.tanh, b_prime=lambda x: 1.0 / np.cosh(x) ** 2,
-                       lipschitz_bound=1.0, monotone="increasing")
+                       lipschitz_bound=1.0)
 NEG_TANH_DRIFT = DriftSpec(b=lambda x: -np.tanh(x),
                            b_prime=lambda x: -1.0 / np.cosh(x) ** 2,
-                           lipschitz_bound=1.0, monotone="decreasing")
+                           lipschitz_bound=1.0)
 
 
 def euler_solve(x0: float, drift: DriftSpec, fbm_paths: np.ndarray,

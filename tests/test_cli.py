@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from wienergamma import cli
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 
 
@@ -48,8 +49,6 @@ class TestRowConstructors:
         assert lower("r", -1e-12, 0.0, 0.0, atol=1e-12).verdict
         assert not lower("r", -2e-12, 0.0, 0.0, atol=1e-12).verdict
         assert not lower("r", -1e-300, 0.0, 0.0).verdict
-        assert upper("r", 1.0 + 1e-12, 1.0, 0.0, atol=1e-12).verdict
-        assert not upper("r", 1.0 + 2e-12, 1.0, 0.0, atol=1e-12).verdict
         assert close("r", 1.0, 1.0, 0.0).verdict
         assert not close("r", np.nextafter(1.0, 2.0), 1.0, 0.0).verdict
 
@@ -206,22 +205,36 @@ def test_bad_config_returns_error(tmp_path):
     assert main(["--config", str(config_path), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("text", [
-    '{"command": "sk-free-energy",',
-    "[1, 2]",
-    '{"command": "gamma", "params": [1]}',
-    '{"command": "sk-generic-bound", "params": {"ns": 8}}',
-    json.dumps({"command": "poincare", "mehler": SMALL_MEHLER,
-                "params": {"expr": "exp(exp(exp(w0)))", "n_outer": 2_000}}),
-], ids=["malformed-json", "top-level-array", "params-array", "scalar-ns", "overflow"])
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, prefix", [
+    ('{"command": "sk-free-energy",', "error in config "),
+    ("[1, 2]", "error in config "),
+    ('{"command": "gamma", "params": [1]}', "error in config "),
+    ('{"command": "sk-generic-bound", "params": {"ns": 8}}', "error: ns must be"),
+    ('{"command": "gamma", "params": {"n_points": 0}}', "error: n_points must be"),
+    ('{"command": "perturbation", "params": {"n_points": 0}}', "error: n_points must be"),
+    (json.dumps({"command": "poincare", "mehler": SMALL_MEHLER,
+                 "params": {"expr": "exp(exp(exp(w0)))", "n_outer": 2_000}}), "error: "),
+], ids=["malformed-json", "top-level-array", "params-array", "scalar-ns",
+        "gamma-no-points", "perturbation-no-points", "overflow"])
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text, prefix):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(text)
     assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error in config ")
+    assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
+
+
+def test_bug_in_a_runner_keeps_its_traceback(tmp_path, monkeypatch):
+    def broken(params, seed, workers, cfg):
+        raise TypeError("bug")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "gamma", (broken, "", ""))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text('{"command": "gamma"}')
+    with pytest.raises(TypeError, match="bug"):
+        main(["--config", str(config_path), "--out", str(tmp_path / "out")])
 
 
 def test_ibp_check_accepts_exactly_centered_chaos_forms():

@@ -125,7 +125,7 @@ class TestEuler:
         grid = uniform_grid(0.7, 1.0, 32)
         drift = DriftSpec(b=lambda x: 2.0 * np.ones_like(x),
                           b_prime=lambda x: np.zeros_like(x),
-                          lipschitz_bound=1.0, monotone="none")
+                          lipschitz_bound=1.0)
         paths, _ = fbm_sample(grid, np.random.default_rng(10), size=10)
         values = euler_solve(0.0, drift, paths, grid.times)
         assert np.allclose(values, paths + 2.0 * grid.times, atol=1e-12)
@@ -134,7 +134,7 @@ class TestEuler:
         # b(x) = -x with H near 1/2: Var F_1 should sit near (1 - e^{-2})/2.
         grid = uniform_grid(0.51, 1.0, 256)
         drift = DriftSpec(b=lambda x: -x, b_prime=lambda x: -np.ones_like(x),
-                          lipschitz_bound=1.0, monotone="decreasing")
+                          lipschitz_bound=1.0)
         # Exact variance of the Euler scheme: F_m = sum_k (1-dt)^{m-1-k} dB_k.
         dts = np.diff(grid.times)
         m = dts.size
@@ -160,7 +160,7 @@ class TestSdeMalliavin:
     def test_constant_bprime_gives_exponential(self):
         grid = uniform_grid(0.7, 1.0, 8)
         drift = DriftSpec(b=lambda x: 0.5 * x, b_prime=lambda x: 0.5 * np.ones_like(x),
-                          lipschitz_bound=0.5, monotone="increasing")
+                          lipschitz_bound=0.5)
         paths, _ = fbm_sample(grid, np.random.default_rng(13), size=2)
         values = euler_solve(0.0, drift, paths, grid.times)
         d = sde_malliavin(values, drift, grid.times)
@@ -248,7 +248,7 @@ class TestDeltaAgainstClosedForms:
         m = 64
         grid = uniform_grid(0.7, 1.0, m)
         drift = DriftSpec(b=lambda x: c * x, b_prime=lambda x: c * np.ones_like(x),
-                          lipschitz_bound=c, monotone="increasing")
+                          lipschitz_bound=c)
         s_idx, t_idx = 16, 48
         dts = np.diff(grid.times)
 
