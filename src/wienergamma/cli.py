@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,28 +33,29 @@ from .comparison import (
     concentration_check,
     default_t_grid,
     exp_linear_function,
+    expected_max,
     perturbation_gamma,
     quadratic_function,
     slepian_experiment,
     sudakov_fernique_experiment,
 )
-from .core import Functional, Tanh, build_space, make_field, sample, w
+from .core import Functional, Hermite, Tanh, build_space, make_field, sample, w
 from .engine import MehlerConfig, gamma_pointwise, ibp_residual, poincare_check
 from .fbm import (
     NEG_TANH_DRIFT,
     TANH_DRIFT,
     ZERO_DRIFT,
     delta_fbm,
+    euler_solve,
+    fbm_sample,
     sup_comparison,
     uniform_grid,
 )
 from .grammar import parse_expression
 from .parallel import default_workers
 from .sk import (
-    IID_GAUSSIAN,
     MediumFamily,
-    clt_chaos2,
-    correlated_gaussian,
+    convergence_experiment,
     free_energy_exact,
     free_energy_reference,
     gamma_f_bound_check,
@@ -118,29 +121,115 @@ def _phi_pair(name: str):
     raise ValueError(f"unknown phi {name!r}; choose id, square or tanh")
 
 
+# ---------------------------------------------------------------------------
+# Parameter tables: every config key is declared once, with its default
+# ---------------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """A declared default with a bound: a number must be >= ``low`` and a list
+    must hold >= ``low`` entries; a value in ``choices`` is taken as is, and a
+    string default accepts nothing else."""
+
+    default: object
+    low: int | None = None
+    choices: tuple = ()
+
+
+def _param(spec) -> Param:
+    return spec if isinstance(spec, Param) else Param(spec)
+
+
+def merge(where: str, given, declared: dict) -> dict:
+    """``given`` checked against ``declared`` (key -> default or Param).
+
+    An undeclared key is a ValueError naming it and the accepted keys; a
+    missing key takes its default, and a value whose default is a number is
+    converted to the default's type.  A default of None is computed by the
+    caller from other keys.
+    """
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in given:
+        if key not in declared:
+            raise ValueError(f"unknown {where} key {key!r}; accepted keys: "
+                             f"{', '.join(declared) or 'none'}")
+    merged = {}
+    for key, spec in declared.items():
+        default, low, choices = _param(spec)
+        value = given.get(key, default)
+        name = f"{where} key {key!r}"
+        if value in choices:
+            merged[key] = value
+            continue
+        if choices and isinstance(default, str):
+            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+        if isinstance(default, bool):
+            value = bool(value)
+        elif isinstance(default, (int, float)):
+            try:
+                value = type(default)(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a number, got {value!r}") from None
+        if low is not None:
+            if isinstance(default, tuple):
+                if not isinstance(value, (list, tuple)) or len(value) < low:
+                    raise ValueError(f"{name} must be a list of >= {low} entries, "
+                                     f"got {value!r}")
+            elif value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        merged[key] = value
+    return merged
+
+
+FAMILIES = {"iid-gaussian": {}, "correlated-gaussian": {"r": 3.0},
+            "clt-chaos2": {"m": Param(1, choices=("N",))}}
+
+
 def _family_from_spec(spec) -> MediumFamily:
     if isinstance(spec, str):
         spec = {"kind": spec}
-    kind = spec["kind"]
-    if kind == "iid-gaussian":
-        return IID_GAUSSIAN
-    if kind == "correlated-gaussian":
-        return correlated_gaussian(float(spec.get("r", 3.0)))
-    if kind == "clt-chaos2":
-        m = spec.get("m", 1)
-        return clt_chaos2(m if m == "N" else int(m))
-    raise ValueError(f"unknown medium family {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown medium family {kind!r}; known: {', '.join(FAMILIES)}")
+    return MediumFamily(**merge(f"{kind} family", spec, {"kind": kind, **FAMILIES[kind]}))
+
+
+class Experiment(NamedTuple):
+    runner: Callable
+    description: str
+    theory: str
+    params: dict  # key -> default or Param
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def experiment(name: str, description: str, theory: str, **params):
+    """Register a runner under ``name`` with its params and their defaults.
+
+    The registered runner merges its params itself, so a direct call with
+    partial params behaves as a config does.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def runner(given, seed, workers, cfg):
+            return body(merge("params", given, params), seed, workers, cfg)
+
+        EXPERIMENTS[name] = Experiment(runner, description, theory, params)
+        return runner
+    return register
 
 
 # ---------------------------------------------------------------------------
 # Experiment runners: params dict -> list[Row]
 # ---------------------------------------------------------------------------
 
+@experiment("gamma", "Mehler-coupling Gamma estimates against the exact chaos oracle",
+            "covariance operator via the Ornstein-Uhlenbeck semigroup",
+            n_points=Param(20, low=1))
 def run_gamma(params, seed, workers, cfg):
     """Mehler-engine estimates against the exact chaos oracle, per pair."""
-    n_points = int(params.get("n_points", 20))
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
+    n_points = params["n_points"]
     space = build_space(4)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A]))
     points = sample(space, rng, n_points)
@@ -156,25 +245,29 @@ def run_gamma(params, seed, workers, cfg):
     return rows
 
 
+@experiment("ibp-check", "integration-by-parts residual E[phi(F)G] - E[phi'(F)Gamma]",
+            "Gaussian integration by parts / chain rule",
+            n_outer=10_000, phi=("id", "square", "tanh"), f_expr=None, g_expr=None, dim=1)
 def run_ibp_check(params, seed, workers, cfg):
-    """Integration-by-parts residuals over the chaos suite or a custom pair."""
-    n_outer = int(params.get("n_outer", 10_000))
-    phis = params.get("phi", ["id", "square", "tanh"])
+    """Integration-by-parts residuals over the chaos suite, or over the pair
+    (f_expr, g_expr) when f_expr is set; g_expr defaults to f_expr."""
+    phis = params["phi"]
     if isinstance(phis, str):
         phis = [phis]
     rows = []
-    if "f_expr" in params:
-        dim = int(params.get("dim", 1))
+    if params["f_expr"] is not None:
+        dim = params["dim"]
         space = build_space(dim)
+        g_expr = params["f_expr"] if params["g_expr"] is None else params["g_expr"]
         f = Functional(space, parse_expression(params["f_expr"], dim))
-        g = Functional(space, parse_expression(params.get("g_expr", params["f_expr"]), dim))
+        g = Functional(space, parse_expression(g_expr, dim))
         pairs = [("custom", f, g)]
     else:
         pairs = oracle_suite(build_space(4))
     for pair_index, (name, f, g) in enumerate(pairs):
         for phi_name in phis:
             phi, phi_prime = _phi_pair(phi_name)
-            res = ibp_residual(phi, phi_prime, f, g, n_outer, cfg,
+            res = ibp_residual(phi, phi_prime, f, g, params["n_outer"], cfg,
                                seed=seed + 131 * pair_index)
             rows.append(close(f"ibp/{name}/{phi_name}", res.lhs, res.rhs,
                               res.std_error))
@@ -191,38 +284,37 @@ POINCARE_SUITE = (
 )
 
 
+@experiment("poincare", "moment bound E|F|^p <= (p-1)^{p/2} E|Gamma|^{p/2}",
+            "Poincare-type inequality",
+            p=(2.0, 3.0, 4.0), n_outer=20_000, expr=None, dim=1)
 def run_poincare(params, seed, workers, cfg):
-    """Moment inequality E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}."""
-    p_values = params.get("p", [2.0, 3.0, 4.0])
-    n_outer = int(params.get("n_outer", 20_000))
-    if "expr" in params:
-        suite = [(params["expr"], int(params.get("dim", 1)))]
-    else:
-        suite = POINCARE_SUITE
+    """Moment inequality E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, over the
+    suite or over expr when it is set."""
+    suite = POINCARE_SUITE if params["expr"] is None else [(params["expr"], params["dim"])]
     rows = []
     for fn_index, (text, dim) in enumerate(suite):
         space = build_space(max(dim, 2))
         f = Functional(space, parse_expression(text, space.dim))
-        for p in p_values:
-            res = poincare_check(f, float(p), n_outer, cfg,
+        for p in params["p"]:
+            res = poincare_check(f, float(p), params["n_outer"], cfg,
                                  seed=seed + 977 * fn_index)
             rows.append(upper(f"poincare/{text}/p={p:g}", res.lhs, res.rhs,
                               res.std_error))
     return rows
 
 
+@experiment("sudakov", "supremum comparison via soft-max interpolation",
+            "Sudakov-Fernique comparison",
+            d=5, sigma_f=1.0, sigma_g=1.5, betas=(1.0, 2.0, 4.0, 8.0, 16.0),
+            n_outer=4_000, n_sup=100_000, t_points=21)
 def run_sudakov(params, seed, workers, cfg):
     """Supremum comparison for dominated Gaussian fields plus the
     independent-additive-noise baseline."""
-    d = int(params.get("d", 5))
-    sigma_f = float(params.get("sigma_f", 1.0))
-    sigma_g = float(params.get("sigma_g", 1.5))
-    betas = tuple(params.get("betas", (1.0, 2.0, 4.0, 8.0, 16.0)))
-    n_outer = int(params.get("n_outer", 4_000))
-    n_sup = int(params.get("n_sup", 100_000))
-    t_grid = default_t_grid(int(params.get("t_points", 21)))
-    pair = build_gaussian_pair(sigma_f**2 * np.eye(d), sigma_g**2 * np.eye(d))
-    report = sudakov_fernique_experiment(pair, betas, t_grid, cfg, n_outer,
+    d, sigma_f, n_sup = params["d"], params["sigma_f"], params["n_sup"]
+    betas = tuple(params["betas"])
+    t_grid = default_t_grid(params["t_points"])
+    pair = build_gaussian_pair(sigma_f**2 * np.eye(d), params["sigma_g"]**2 * np.eye(d))
+    report = sudakov_fernique_experiment(pair, betas, t_grid, cfg, params["n_outer"],
                                          n_sup, seed=seed, workers=workers)
     rows = [upper(f"sudakov/phi-prime/beta={r.beta:g}/t={r.t:.3f}", r.value, 0.0,
                   r.std_error)
@@ -236,9 +328,6 @@ def run_sudakov(params, seed, workers, cfg):
                         True, RULE_REPORT))
 
     # Baseline: adding independent centered noise can only raise the expected max.
-    from .comparison import expected_max
-    from .core import Hermite
-
     space = build_space(2 * d)
     base = make_field(space, [sigma_f * w(i) for i in range(d)])
     noisy = make_field(space, [
@@ -251,20 +340,25 @@ def run_sudakov(params, seed, workers, cfg):
     return rows
 
 
+@experiment("slepian", "functional comparison under dominated Gamma matrices",
+            "Slepian-type comparison",
+            d=2, n_outer=4_000, n_value=100_000, cov_g=None, bump=None, t_points=11)
 def run_slepian(params, seed, workers, cfg):
     """Functional comparison with a quadratic payoff under entrywise
-    dominated Gamma matrices (Gaussian case)."""
-    d = int(params.get("d", 2))
-    n_outer = int(params.get("n_outer", 4_000))
-    n_value = int(params.get("n_value", 100_000))
-    base = np.asarray(params.get("cov_g", (np.eye(d) + 0.1 * np.ones((d, d))
-                                           - 0.1 * np.eye(d))), dtype=float)
-    bump = np.asarray(params.get("bump", 0.8 * np.ones(d) / math.sqrt(d)), dtype=float)
-    cov_f = base + np.outer(bump, bump)
-    pair = build_gaussian_pair(cov_f, base)
+    dominated Gamma matrices (Gaussian case).  cov_g defaults to unit
+    variances with correlation 0.1, and bump to 0.8 / sqrt(d) per entry."""
+    d = params["d"]
+    base, bump = params["cov_g"], params["bump"]
+    if base is None:
+        base = np.eye(d) + 0.1 * np.ones((d, d)) - 0.1 * np.eye(d)
+    if bump is None:
+        bump = 0.8 * np.ones(d) / math.sqrt(d)
+    base, bump = np.asarray(base, dtype=float), np.asarray(bump, dtype=float)
+    pair = build_gaussian_pair(base + np.outer(bump, bump), base)
     fn = quadratic_function(np.ones((d, d)))
-    report = slepian_experiment(pair, fn, default_t_grid(int(params.get("t_points", 11))),
-                                cfg, n_outer, n_value, seed=seed, workers=workers)
+    report = slepian_experiment(pair, fn, default_t_grid(params["t_points"]), cfg,
+                                params["n_outer"], params["n_value"], seed=seed,
+                                workers=workers)
     rows = [lower(f"slepian/phi-prime/t={r.t:.3f}", r.value, 0.0, r.std_error)
             for r in report.rows]
     rows.append(lower("slepian/functional-comparison", report.e_f_of_f.value,
@@ -273,27 +367,29 @@ def run_slepian(params, seed, workers, cfg):
     return rows
 
 
+@experiment("concentration", "joint tail against exp(-|x|^2 / 2|C|_op)",
+            "Gaussian-dominated concentration bound",
+            case=Param("both", choices=("both", "scalar-gaussian", "chaos2")),
+            n_outer=1_000_000, x=2.0, x2=(1.5, 1.5), n_psd=16)
 def run_concentration(params, seed, workers, cfg):
     """Joint upper tail against the Gaussian-dominated exponential bound."""
     rows = []
-    case = params.get("case", "both")
-    n_outer = int(params.get("n_outer", 1_000_000))
+    case, n_outer = params["case"], params["n_outer"]
     if case in ("scalar-gaussian", "both"):
         space = build_space(1)
         fld = make_field(space, [w(0)])
-        res = concentration_check(fld, np.array([[1.0]]),
-                                  np.array([float(params.get("x", 2.0))]),
+        res = concentration_check(fld, np.array([[1.0]]), np.array([params["x"]]),
                                   n_outer, cfg, n_psd=8, seed=seed,
                                   workers=workers)
         rows += _concentration_rows("scalar", res)
     if case in ("chaos2", "both"):
         space = build_space(4)
-        exprs = [w(0) + 0.1 * _hermite2(2), w(1) + 0.1 * _hermite2(3)]
+        exprs = [w(0) + 0.1 * Hermite(2, w(2)), w(1) + 0.1 * Hermite(2, w(3))]
         fld = make_field(space, exprs)
-        x = np.asarray(params.get("x2", (1.5, 1.5)), dtype=float)
+        x = np.asarray(params["x2"], dtype=float)
         res = concentration_check(fld, 3.0 * np.eye(2), x, n_outer, cfg,
-                                  n_psd=int(params.get("n_psd", 16)),
-                                  seed=seed + 1, workers=workers)
+                                  n_psd=params["n_psd"], seed=seed + 1,
+                                  workers=workers)
         rows += _concentration_rows("chaos2", res)
     return rows
 
@@ -306,20 +402,14 @@ def _concentration_rows(case, res) -> list[Row]:
             upper(f"concentration/{case}/tail", res.tail, res.bound, res.tail_std_error)]
 
 
-def _hermite2(index):
-    from .core import Hermite
-
-    return Hermite(2, w(index))
-
-
+@experiment("perturbation", "monotone perturbation of a Gaussian vector",
+            "Slepian-type comparison for perturbed vectors",
+            n_points=Param(5, low=1), n_value=150_000, theta=(0.4, 0.4))
 def run_perturbation(params, seed, workers, cfg):
     """Monotone perturbation of a Gaussian vector: Gamma dominates the base
     covariance entrywise and a payoff with nonnegative cross-derivatives
     increases in mean."""
-    n_points = int(params.get("n_points", 5))
-    if n_points < 1:
-        raise ValueError("n_points must be >= 1")
-    n_value = int(params.get("n_value", 150_000))
+    n_points, n_value = params["n_points"], params["n_value"]
     chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
     g_rows = np.hstack([chol, np.zeros((2, 2))])
     spec = PerturbationSpec(
@@ -340,7 +430,7 @@ def run_perturbation(params, seed, workers, cfg):
     rows = [lower("perturbation/gamma-dominates-covariance", np.stack(values), base,
                   np.stack(errors), atol=1e-9)]
 
-    psi = exp_linear_function(np.asarray(params.get("theta", (0.4, 0.4)), dtype=float))
+    psi = exp_linear_function(np.asarray(params["theta"], dtype=float))
     eval_pts = sample(space, np.random.default_rng(np.random.SeedSequence([seed, 0xA0])),
                       n_value)
     vf = psi.fun(f_field.eval_all(eval_pts))
@@ -351,21 +441,19 @@ def run_perturbation(params, seed, workers, cfg):
     return rows
 
 
+@experiment("fbm-sde", "fBm-driven SDE: squared-metric and supremum comparisons",
+            "Sudakov-Fernique comparison for fBm SDEs",
+            hurst=0.7, m=128, horizon=1.0, n_paths=100_000, n_outer=400, dump_paths=0,
+            delta_pairs=((0.0, 1.0), (0.125, 0.375), (0.25, 0.75), (0.5, 0.625),
+                         (0.25, 1.0)))
 def run_fbm_sde(params, seed, workers, cfg):
     """Supremum and squared-metric checks for the fBm-driven SDE."""
-    hurst = float(params.get("hurst", 0.7))
-    m = int(params.get("m", 128))
-    horizon = float(params.get("horizon", 1.0))
-    n_paths = int(params.get("n_paths", 100_000))
-    n_outer = int(params.get("n_outer", 400))
-    grid = uniform_grid(hurst, horizon, m)
+    m, n_paths, n_dump = params["m"], params["n_paths"], params["dump_paths"]
+    grid = uniform_grid(params["hurst"], params["horizon"], m)
     rows = []
     tables = {}
 
-    n_dump = int(params.get("dump_paths", 0))
     if n_dump > 0:
-        from .fbm import euler_solve, fbm_sample
-
         dump_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
         paths, _ = fbm_sample(grid, dump_rng, size=n_dump)
         values = euler_solve(0.0, TANH_DRIFT, paths, grid.times)
@@ -377,10 +465,7 @@ def run_fbm_sde(params, seed, workers, cfg):
             table_rows.append(["sde", k] + [repr(float(x)) for x in values[k]])
         tables["paths"] = {"header": header, "rows": table_rows}
 
-    pair_fracs = params.get("delta_pairs",
-                            ((0.0, 1.0), (0.125, 0.375), (0.25, 0.75),
-                             (0.5, 0.625), (0.25, 1.0)))
-    for frac_s, frac_t in pair_fracs:
+    for frac_s, frac_t in params["delta_pairs"]:
         s_idx, t_idx = int(round(frac_s * m)), int(round(frac_t * m))
         est = delta_fbm(grid, ZERO_DRIFT, s_idx, t_idx, cfg=cfg, n_outer=8,
                         seed=seed, workers=1)
@@ -390,7 +475,7 @@ def run_fbm_sde(params, seed, workers, cfg):
     for frac_s, frac_t in ((0.125, 0.625), (0.0, 1.0)):
         s_idx, t_idx = int(round(frac_s * m)), int(round(frac_t * m))
         est = delta_fbm(grid, TANH_DRIFT, s_idx, t_idx, cfg=cfg,
-                        n_outer=n_outer, seed=seed + 3, workers=workers)
+                        n_outer=params["n_outer"], seed=seed + 3, workers=workers)
         rows.append(lower(f"fbm/delta-increasing-drift/s={frac_s:g},t={frac_t:g}",
                           est.value, est.reference, est.std_error))
 
@@ -405,11 +490,14 @@ def run_fbm_sde(params, seed, workers, cfg):
     return (rows, tables) if tables else rows
 
 
+@experiment("sk-free-energy", "exact SK free energy by Gray-code enumeration",
+            "SK partition function",
+            n=Param(8, low=1), beta=1.0, family="iid-gaussian", check_reference=False,
+            dump_medium=False)
 def run_sk_free_energy(params, seed, workers, cfg):
     """Exact SK free energy for one sampled medium."""
-    n = int(params.get("n", 8))
-    beta = float(params.get("beta", 1.0))
-    family = _family_from_spec(params.get("family", "iid-gaussian"))
+    n, beta = params["n"], params["beta"]
+    family = _family_from_spec(params["family"])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C]))
     medium = medium_sample(family, n, rng)
     res = free_energy_exact(medium.coupling, beta)
@@ -420,12 +508,12 @@ def run_sk_free_energy(params, seed, workers, cfg):
         rows.append(Row("sk/free-energy/two-spin-closed-form", res.value,
                         closed, 0.0, abs(res.value - closed) <= 1e-12,
                         "pass when |value - closed form| <= 1e-12"))
-    if params.get("check_reference", False) and n <= 10:
+    if params["check_reference"] and n <= 10:
         ref = free_energy_reference(medium.coupling, beta)
         rows.append(Row("sk/free-energy/gray-vs-reference", res.value,
                         ref.value, 0.0, res.value == ref.value,
                         "pass when bit-identical"))
-    if params.get("dump_medium", False):
+    if params["dump_medium"]:
         header = ["row"] + [f"j={j}" for j in range(n)]
         table_rows = [[i] + [repr(float(x)) for x in medium.coupling[i]]
                       for i in range(n)]
@@ -433,32 +521,27 @@ def run_sk_free_energy(params, seed, workers, cfg):
     return rows
 
 
+@experiment("sk-generic-bound", "free-energy universality bound across media families",
+            "SK universality: interpolation bound",
+            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=1), f="tanh",
+            families=({"kind": "clt-chaos2", "m": 1}, {"kind": "clt-chaos2", "m": "N"},
+                      {"kind": "correlated-gaussian", "r": 3.0}),
+            gap_media=Param(4_000, low=1))
 def run_sk_generic_bound(params, seed, workers, cfg):
     """Free-energy comparison bound cells over families and sizes, plus the
     paired-gap ladder for the size-scaled chaos family."""
-    ns = params.get("ns", (8, 12, 16))
-    if not isinstance(ns, (list, tuple)):
-        raise ValueError("ns must be a list of sizes")
-    beta = float(params.get("beta", 1.0))
-    n_media = int(params.get("n_media", 200))
-    f_name = params.get("f", "tanh")
-    family_specs = params.get(
-        "families",
-        ({"kind": "clt-chaos2", "m": 1}, {"kind": "clt-chaos2", "m": "N"},
-         {"kind": "correlated-gaussian", "r": 3.0}),
-    )
+    ns, beta = params["ns"], params["beta"]
     rows = []
-    for spec in family_specs:
+    for spec in params["families"]:
         family = _family_from_spec(spec)
         for n in ns:
-            res = generic_bound_check(family, n, beta, f_name=f_name,
-                                      n_media=n_media, seed=seed)
+            res = generic_bound_check(family, n, beta, f_name=params["f"],
+                                      n_media=params["n_media"], seed=seed)
             rows.append(upper(f"sk/generic-bound/{res.family_label}/N={n}",
                               res.lhs, res.rhs, res.std_error))
-    gap_media = int(params.get("gap_media", 4_000))
     gaps = []
     for n in ns:
-        pg = paired_chaos2_gap(n, beta, n_media=gap_media, seed=seed)
+        pg = paired_chaos2_gap(n, beta, n_media=params["gap_media"], seed=seed)
         gaps.append(abs(pg.gap))
         rows.append(Row(f"sk/paired-gap/N={n}", pg.gap, 0.0, pg.std_error,
                         True, RULE_REPORT))
@@ -468,22 +551,21 @@ def run_sk_generic_bound(params, seed, workers, cfg):
     return rows
 
 
+@experiment("sk-gamma-bound", "Gamma bound for the centered free energy",
+            "SK universality: concentration step",
+            n=Param(12, low=1), betas=(0.5, 1.0), n_media=Param(50, low=1),
+            families=("iid-gaussian", {"kind": "clt-chaos2", "m": 1},
+                      {"kind": "clt-chaos2", "m": 4},
+                      {"kind": "correlated-gaussian", "r": 3.0}))
 def run_sk_gamma_bound(params, seed, workers, cfg):
     """Gamma bound for the centered free energy, per sampled medium."""
-    n = int(params.get("n", 12))
-    betas = tuple(params.get("betas", (0.5, 1.0)))
-    n_media = int(params.get("n_media", 50))
-    family_specs = params.get(
-        "families",
-        ("iid-gaussian", {"kind": "clt-chaos2", "m": 1},
-         {"kind": "clt-chaos2", "m": 4}, {"kind": "correlated-gaussian", "r": 3.0}),
-    )
+    n = params["n"]
     rows = []
-    for spec in family_specs:
+    for spec in params["families"]:
         family = _family_from_spec(spec)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B]))
-        media = [medium_sample(family, n, rng) for _ in range(n_media)]
-        for beta in betas:
+        media = [medium_sample(family, n, rng) for _ in range(params["n_media"])]
+        for beta in params["betas"]:
             worst_lhs, worst_rhs = 0.0, 0.0
             ok = True
             for medium in media:
@@ -497,72 +579,28 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
     return rows
 
 
+@experiment("sk-convergence", "finite-size free-energy table across media families",
+            "SK universality: finite-size trends",
+            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=1),
+            families=({"kind": "clt-chaos2", "m": "N"},
+                      {"kind": "correlated-gaussian", "r": 3.0}))
 def run_sk_convergence(params, seed, workers, cfg):
     """Free-energy table across families and sizes with gaps to the star law."""
-    from .sk import convergence_experiment
-
-    ns = params.get("ns", (8, 12, 16))
-    if not isinstance(ns, (list, tuple)):
-        raise ValueError("ns must be a list of sizes")
-    beta = float(params.get("beta", 1.0))
-    n_media = int(params.get("n_media", 200))
-    family_specs = params.get(
-        "families",
-        ({"kind": "clt-chaos2", "m": "N"}, {"kind": "correlated-gaussian", "r": 3.0}),
-    )
-    families = [_family_from_spec(s) for s in family_specs]
+    families = [_family_from_spec(s) for s in params["families"]]
     rows = []
-    for row in convergence_experiment(families, beta, ns, n_media, seed=seed):
+    for row in convergence_experiment(families, params["beta"], params["ns"],
+                                      params["n_media"], seed=seed):
         rows.append(Row(
             f"sk/convergence/{row.family_label}/N={row.n}", row.mean,
             row.gap_to_star, row.std_error, True, RULE_REPORT))
     return rows
 
 
-EXPERIMENTS = {
-    "gamma": (run_gamma,
-              "Mehler-coupling Gamma estimates against the exact chaos oracle",
-              "covariance operator via the Ornstein-Uhlenbeck semigroup"),
-    "ibp-check": (run_ibp_check,
-                  "integration-by-parts residual E[phi(F)G] - E[phi'(F)Gamma]",
-                  "Gaussian integration by parts / chain rule"),
-    "poincare": (run_poincare,
-                 "moment bound E|F|^p <= (p-1)^{p/2} E|Gamma|^{p/2}",
-                 "Poincare-type inequality"),
-    "sudakov": (run_sudakov,
-                "supremum comparison via soft-max interpolation",
-                "Sudakov-Fernique comparison"),
-    "slepian": (run_slepian,
-                "functional comparison under dominated Gamma matrices",
-                "Slepian-type comparison"),
-    "concentration": (run_concentration,
-                      "joint tail against exp(-|x|^2 / 2|C|_op)",
-                      "Gaussian-dominated concentration bound"),
-    "perturbation": (run_perturbation,
-                     "monotone perturbation of a Gaussian vector",
-                     "Slepian-type comparison for perturbed vectors"),
-    "fbm-sde": (run_fbm_sde,
-                "fBm-driven SDE: squared-metric and supremum comparisons",
-                "Sudakov-Fernique comparison for fBm SDEs"),
-    "sk-free-energy": (run_sk_free_energy,
-                       "exact SK free energy by Gray-code enumeration",
-                       "SK partition function"),
-    "sk-generic-bound": (run_sk_generic_bound,
-                         "free-energy universality bound across media families",
-                         "SK universality: interpolation bound"),
-    "sk-gamma-bound": (run_sk_gamma_bound,
-                       "Gamma bound for the centered free energy",
-                       "SK universality: concentration step"),
-    "sk-convergence": (run_sk_convergence,
-                       "finite-size free-energy table across media families",
-                       "SK universality: finite-size trends"),
-}
-
-
 def list_experiments() -> list[dict]:
     return [
-        {"name": name, "description": desc, "theory": tag}
-        for name, (_, desc, tag) in EXPERIMENTS.items()
+        {"name": name, "description": e.description, "theory": e.theory,
+         "params": {key: _param(spec).default for key, spec in e.params.items()}}
+        for name, e in EXPERIMENTS.items()
     ]
 
 
@@ -573,29 +611,25 @@ def run(config: dict) -> dict:
 
 def _settings(config: dict):
     """Validate a config; returns (command, params, seed, workers, cfg)."""
-    command = config.get("command")
+    top = merge("config", config, {"command": None, "seed": 0,
+                                   "workers": default_workers(), "mehler": {},
+                                   "params": {}})
+    command = top["command"]
     if command not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown command {command!r}; known commands: {known}")
-    params = config.get("params", {})
-    mehler = config.get("mehler", {})
-    if not isinstance(params, dict) or not isinstance(mehler, dict):
-        raise ValueError("params and mehler must be JSON objects")
-    seed = int(config.get("seed", 0))
-    workers = int(config.get("workers", default_workers()))
-    cfg = MehlerConfig(
-        quad_nodes=int(mehler.get("quad_nodes", 32)),
-        mc_samples=int(mehler.get("mc_samples", 4096)),
-        antithetic=bool(mehler.get("antithetic", True)),
-        seed=int(mehler.get("seed", seed)),
-    )
-    return command, params, seed, workers, cfg
+    merge("params", top["params"], EXPERIMENTS[command].params)
+    # mehler.seed defaults to the run seed.
+    cfg = MehlerConfig(**merge("mehler", top["mehler"],
+                               asdict(MehlerConfig(seed=top["seed"]))))
+    return command, top["params"], top["seed"], top["workers"], cfg
 
 
 def _execute(command, params, seed, workers, cfg) -> dict:
-    runner, _, _ = EXPERIMENTS[command]
-    outcome = runner(params, seed, workers, cfg)
+    outcome = EXPERIMENTS[command].runner(params, seed, workers, cfg)
     rows, tables = outcome if isinstance(outcome, tuple) else (outcome, {})
+    if not rows:
+        raise ValueError(f"{command} has no checks to run for params {params}")
     return {
         "schema": 1,
         "tables": tables,
@@ -603,12 +637,7 @@ def _execute(command, params, seed, workers, cfg) -> dict:
             "command": command,
             "seed": seed,
             "workers": workers,
-            "mehler": {
-                "quad_nodes": cfg.quad_nodes,
-                "mc_samples": cfg.mc_samples,
-                "antithetic": cfg.antithetic,
-                "seed": cfg.seed,
-            },
+            "mehler": asdict(cfg),
             "params": params,
         },
         "version": __version__,
@@ -659,12 +688,17 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("csv", "json", "both"),
                         default="both")
     parser.add_argument("--list", action="store_true",
-                        help="list available experiments and exit")
+                        help="list experiments with their params and defaults, and exit")
     args = parser.parse_args(argv)
 
     if args.list:
+        def keys(defaults):
+            return "  ".join(f"{key}={json.dumps(value)}" for key, value in defaults.items())
+
         for entry in list_experiments():
             print(f"{entry['name']:<18} {entry['description']} [{entry['theory']}]")
+            print(f"{'':<18} params: {keys(entry['params'])}")
+        print(f"{'mehler':<18} {keys({**asdict(MehlerConfig()), 'seed': None})}")
         return 0
     if args.config is None:
         parser.error("--config is required unless --list is given")

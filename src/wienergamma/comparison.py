@@ -351,19 +351,14 @@ def _gamma_matrices_at(fld: RandomField, pts: np.ndarray, cfg: MehlerConfig,
 
 def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
                       cfg: MehlerConfig, n_outer: int, seed: int = 0,
-                      workers: int = 1):
+                      workers: int = 1) -> Estimate:
     """Derivative of t -> E f(sqrt(1-t) G + sqrt(t) F):
 
         phi'(t) = (1/2) sum_{i,j} E[ d2f/dx_i dx_j (interp) (Gamma^F_ij - Gamma^G_ij) ].
-
-    Returns (Estimate, heavy_tail_flag); the flag marks a sample whose largest
-    |Hessian| entry dominates the integrability diagnostic.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     acc = RunningMoments()
-    abs_acc = RunningMoments()
-    max_single = 0.0
 
     def job(chunk, rng):
         pts = sample(pair.space, rng, chunk)
@@ -372,16 +367,11 @@ def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
         hess = fn.hessian(interp)  # (B, d, d)
         gamma_f = _gamma_matrices_at(pair.f, pts, cfg, rng)
         gamma_g = _gamma_matrices_at(pair.g, pts, cfg, rng)
-        per_sample = 0.5 * np.einsum("bij,bij->b", hess, gamma_f - gamma_g)
-        return per_sample, np.max(np.abs(hess), axis=(1, 2))
+        return 0.5 * np.einsum("bij,bij->b", hess, gamma_f - gamma_g)
 
-    for per_sample, abs_rows in run_chunked(n_outer, workers, seed, 0x51E, job):
+    for per_sample in run_chunked(n_outer, workers, seed, 0x51E, job):
         acc.add_batch(per_sample)
-        abs_acc.add_batch(abs_rows)
-        max_single = max(max_single, float(np.max(abs_rows)))
-    total_abs = abs_acc.mean * abs_acc.count
-    heavy_tail = bool(total_abs > 0 and max_single > 0.1 * total_abs)
-    return Estimate(acc.mean, acc.std_error), heavy_tail
+    return Estimate(acc.mean, acc.std_error)
 
 
 @dataclass(frozen=True)
@@ -389,7 +379,6 @@ class SlepianReport:
     e_f_of_f: Estimate
     e_f_of_g: Estimate
     rows: tuple[PhiPrimeRow, ...]
-    heavy_tail_flagged: bool
 
 
 def slepian_experiment(pair: FieldPair, fn: HessianFunction,
@@ -400,11 +389,9 @@ def slepian_experiment(pair: FieldPair, fn: HessianFunction,
     if t_grid is None:
         t_grid = default_t_grid(11)
     rows = []
-    flagged = False
     for ti, t in enumerate(t_grid):
-        est, heavy = slepian_phi_prime(pair, fn, float(t), cfg, n_outer,
-                                       seed=seed + 31 * ti, workers=workers)
-        flagged = flagged or heavy
+        est = slepian_phi_prime(pair, fn, float(t), cfg, n_outer,
+                                seed=seed + 31 * ti, workers=workers)
         rows.append(PhiPrimeRow(float("nan"), float(t), est.value, est.std_error))
 
     def value_of(fld, salt):
@@ -422,7 +409,6 @@ def slepian_experiment(pair: FieldPair, fn: HessianFunction,
         e_f_of_f=value_of(pair.f, 3),
         e_f_of_g=value_of(pair.g, 4),
         rows=tuple(rows),
-        heavy_tail_flagged=flagged,
     )
 
 

@@ -43,14 +43,7 @@ def hermite_value(q: int, x):
     """H_q(x) by the recurrence H_{q+1} = x*H_q - q*H_{q-1}, H_0 = 1, H_1 = x."""
     if q < 0 or q != int(q):
         raise ExpressionError(f"Hermite order must be an integer >= 0, got {q}")
-    x = np.asarray(x, dtype=float)
-    if q == 0:
-        return np.ones_like(x)
-    h_prev = np.ones_like(x)
-    h = x.copy()
-    for k in range(1, q):
-        h_prev, h = h, x * h - k * h_prev
-    return h
+    return hermite_pair(q, x)[0]
 
 
 def hermite_pair(q: int, x):
@@ -154,10 +147,6 @@ class Expression:
     def value(self, x: np.ndarray):
         return self.value_and_gradient(np.asarray(x, dtype=float))[0]
 
-    def max_coordinate(self) -> int:
-        """Largest coordinate index used, or -1 for constant expressions."""
-        raise NotImplementedError
-
     def coordinates(self) -> frozenset[int]:
         raise NotImplementedError
 
@@ -220,9 +209,6 @@ class Coordinate(Expression):
         grad[..., self.index] = 1.0
         return val, grad
 
-    def max_coordinate(self):
-        return self.index
-
     def coordinates(self):
         return frozenset((self.index,))
 
@@ -241,9 +227,6 @@ class Constant(Expression):
     def value_and_gradient(self, x):
         val = np.full(x.shape[:-1], self.value_)
         return val, np.zeros_like(x)
-
-    def max_coordinate(self):
-        return -1
 
     def coordinates(self):
         return frozenset()
@@ -268,9 +251,6 @@ class Sum(Expression):
             val += v
             grad += g
         return val, grad
-
-    def max_coordinate(self):
-        return max(c.max_coordinate() for c in self.children)
 
     def coordinates(self):
         return frozenset().union(*(c.coordinates() for c in self.children))
@@ -297,9 +277,6 @@ class Product(Expression):
             val = val * v
         return val, grad
 
-    def max_coordinate(self):
-        return max(c.max_coordinate() for c in self.children)
-
     def coordinates(self):
         return frozenset().union(*(c.coordinates() for c in self.children))
 
@@ -318,9 +295,6 @@ class Negate(Expression):
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)
         return -v, -g
-
-    def max_coordinate(self):
-        return self.child.max_coordinate()
 
     def coordinates(self):
         return self.child.coordinates()
@@ -347,9 +321,6 @@ class Power(Expression):
             return v, g
         return v**k, (k * v ** (k - 1))[..., None] * g
 
-    def max_coordinate(self):
-        return self.child.max_coordinate()
-
     def coordinates(self):
         return self.child.coordinates()
 
@@ -368,9 +339,6 @@ class Exp(Expression):
             ev = np.exp(v)
             return ev, ev[..., None] * g
 
-    def max_coordinate(self):
-        return self.child.max_coordinate()
-
     def coordinates(self):
         return self.child.coordinates()
 
@@ -386,9 +354,6 @@ class Tanh(Expression):
         v, g = self.child.value_and_gradient(x)
         tv = np.tanh(v)
         return tv, (1.0 - tv * tv)[..., None] * g
-
-    def max_coordinate(self):
-        return self.child.max_coordinate()
 
     def coordinates(self):
         return self.child.coordinates()
@@ -412,9 +377,6 @@ class Hermite(Expression):
         v, g = self.child.value_and_gradient(x)
         hq, hq_minus = hermite_pair(self.order, v)
         return hq, (self.order * hq_minus)[..., None] * g
-
-    def max_coordinate(self):
-        return self.child.max_coordinate()
 
     def coordinates(self):
         return self.child.coordinates()
@@ -443,7 +405,7 @@ class Functional:
     mean_shift: float = 0.0
 
     def __post_init__(self):
-        top = self.expr.max_coordinate()
+        top = max(self.expr.coordinates(), default=-1)
         if top >= self.space.dim:
             raise ExpressionError(
                 f"expression uses coordinate w{top} but the space has "

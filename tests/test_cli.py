@@ -2,12 +2,14 @@ import json
 import math
 from dataclasses import asdict
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wienergamma import cli
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
+from wienergamma.engine import MehlerConfig
 
 
 SMALL_MEHLER = {"quad_nodes": 8, "mc_samples": 256}
@@ -159,6 +161,7 @@ def test_main_list(capsys):
     out = capsys.readouterr().out
     assert "sk-generic-bound" in out
     assert "gamma" in out
+    assert "n_points=20" in out  # run_gamma's declared default
 
 
 def test_seed_override(tmp_path):
@@ -205,32 +208,68 @@ def test_bad_config_returns_error(tmp_path):
     assert main(["--config", str(config_path), "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("text, prefix", [
-    ('{"command": "sk-free-energy",', "error in config "),
-    ("[1, 2]", "error in config "),
-    ('{"command": "gamma", "params": [1]}', "error in config "),
-    ('{"command": "sk-generic-bound", "params": {"ns": 8}}', "error: ns must be"),
-    ('{"command": "gamma", "params": {"n_points": 0}}', "error: n_points must be"),
-    ('{"command": "perturbation", "params": {"n_points": 0}}', "error: n_points must be"),
-    (json.dumps({"command": "poincare", "mehler": SMALL_MEHLER,
-                 "params": {"expr": "exp(exp(exp(w0)))", "n_outer": 2_000}}), "error: "),
-], ids=["malformed-json", "top-level-array", "params-array", "scalar-ns",
-        "gamma-no-points", "perturbation-no-points", "overflow"])
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text, prefix):
+def _config(command, **params):
+    return json.dumps({"command": command, "params": params})
+
+
+# (config text, stderr prefix, text the message must name)
+BAD_INPUTS = {
+    "malformed-json": ('{"command": "sk-free-energy",', "error in config ", "line 1"),
+    "top-level-array": ("[1, 2]", "error in config ", "JSON object"),
+    "params-array": ('{"command": "gamma", "params": [1]}', "error in config ", "params"),
+    "scalar-ns": (_config("sk-generic-bound", ns=8), "error in config ", "'ns'"),
+    "gamma-no-points": (_config("gamma", n_points=0), "error in config ", "'n_points'"),
+    "perturbation-no-points": (_config("perturbation", n_points=0), "error in config ",
+                               "'n_points'"),
+    "overflow": (json.dumps({"command": "poincare", "mehler": SMALL_MEHLER,
+                             "params": {"expr": "exp(exp(exp(w0)))", "n_outer": 2_000}}),
+                 "error: ", "not finite"),
+    "misspelled-param": (_config("gamma", n_pionts=1), "error in config ", "'n_pionts'"),
+    "misspelled-mehler-key": ('{"command": "gamma", "mehler": {"mc_sample": 256}}',
+                              "error in config ", "'mc_sample'"),
+    "unknown-top-level-key": ('{"command": "gamma", "sead": 5}', "error in config ",
+                              "'sead'"),
+    "unknown-family-key": (_config("sk-free-energy", n=4,
+                                   family={"kind": "correlated-gaussian", "rr": 3.0}),
+                           "error: ", "'rr'"),
+    "unknown-case": (_config("concentration", case="scalar"), "error in config ",
+                     "'scalar'"),
+    "empty-ns": (_config("sk-generic-bound", ns=[]), "error in config ", "'ns'"),
+    "no-media": (_config("sk-gamma-bound", n=4, n_media=0), "error in config ",
+                 "'n_media'"),
+    "empty-p": (_config("poincare", p=[]), "error: ", "'p': []"),
+    "empty-phi": (_config("ibp-check", phi=[]), "error: ", "'phi': []"),
+    "empty-sk-convergence-ns": (_config("sk-convergence", ns=[]), "error in config ",
+                                "'ns'"),
+}
+
+
+@pytest.mark.parametrize("text, prefix, names", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text, prefix, names):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(text)
     assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(prefix)
+    assert names in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_readme_config_example_is_accepted():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("A config is a single JSON document:")[1]
+    example = example.split("```json")[1].split("```")[0]
+    command, params, seed, workers, cfg = cli._settings(json.loads(example))
+    assert (command, seed, workers) == ("sk-generic-bound", 7, 1)
+    assert cfg == MehlerConfig(quad_nodes=32, mc_samples=4096, antithetic=True, seed=7)
 
 
 def test_bug_in_a_runner_keeps_its_traceback(tmp_path, monkeypatch):
     def broken(params, seed, workers, cfg):
         raise TypeError("bug")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "gamma", (broken, "", ""))
+    monkeypatch.setitem(cli.EXPERIMENTS, "gamma", cli.Experiment(broken, "", "", {}))
     config_path = tmp_path / "cfg.json"
     config_path.write_text('{"command": "gamma"}')
     with pytest.raises(TypeError, match="bug"):
