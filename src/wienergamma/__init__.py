@@ -34,7 +34,7 @@ from .grammar import ParseError, format_expression, parse_expression
 from .chaos import ChaosForm, expectation_of_product, form, gamma_oracle, oracle_suite
 from .engine import (
     CenteringError,
-    GammaEstimate,
+    Estimate,
     MehlerConfig,
     capital_delta,
     gamma_pointwise,
@@ -51,7 +51,6 @@ from .comparison import (
     sf_phi_prime,
     slepian_phi_prime,
     softmax_sup,
-    sudakov_fernique_experiment,
 )
 from .fbm import (
     DriftSpec,

@@ -34,10 +34,11 @@ from .comparison import (
     default_t_grid,
     exp_linear_function,
     expected_max,
+    expected_value,
     perturbation_gamma,
     quadratic_function,
-    slepian_experiment,
-    sudakov_fernique_experiment,
+    sf_phi_prime,
+    slepian_phi_prime,
 )
 from .core import Functional, Hermite, Tanh, build_space, make_field, sample, w
 from .engine import MehlerConfig, gamma_pointwise, ibp_residual, poincare_check
@@ -64,7 +65,6 @@ from .sk import (
     paired_chaos2_gap,
 )
 
-RULE_EXACT = "exact arithmetic"
 RULE_REPORT = "report only"
 
 
@@ -128,11 +128,13 @@ def _phi_pair(name: str):
 class Param(NamedTuple):
     """A declared default with a bound: a number must be >= ``low`` and a list
     must hold >= ``low`` entries; a value in ``choices`` is taken as is, and a
-    string default accepts nothing else."""
+    string default accepts nothing else.  A key with ``needs`` is accepted
+    only when the key it names is given too."""
 
     default: object
     low: int | None = None
     choices: tuple = ()
+    needs: str | None = None
 
 
 def _param(spec) -> Param:
@@ -153,9 +155,13 @@ def merge(where: str, given, declared: dict) -> dict:
         if key not in declared:
             raise ValueError(f"unknown {where} key {key!r}; accepted keys: "
                              f"{', '.join(declared) or 'none'}")
+        needs = _param(declared[key]).needs
+        if needs and given.get(needs) is None:
+            raise ValueError(f"{where} key {key!r} is used only with {needs!r}, "
+                             "which is not given")
     merged = {}
     for key, spec in declared.items():
-        default, low, choices = _param(spec)
+        default, low, choices, _ = _param(spec)
         value = given.get(key, default)
         name = f"{where} key {key!r}"
         if value in choices:
@@ -247,7 +253,8 @@ def run_gamma(params, seed, workers, cfg):
 
 @experiment("ibp-check", "integration-by-parts residual E[phi(F)G] - E[phi'(F)Gamma]",
             "Gaussian integration by parts / chain rule",
-            n_outer=10_000, phi=("id", "square", "tanh"), f_expr=None, g_expr=None, dim=1)
+            n_outer=10_000, phi=("id", "square", "tanh"), f_expr=None,
+            g_expr=Param(None, needs="f_expr"), dim=Param(1, needs="f_expr"))
 def run_ibp_check(params, seed, workers, cfg):
     """Integration-by-parts residuals over the chaos suite, or over the pair
     (f_expr, g_expr) when f_expr is set; g_expr defaults to f_expr."""
@@ -267,10 +274,10 @@ def run_ibp_check(params, seed, workers, cfg):
     for pair_index, (name, f, g) in enumerate(pairs):
         for phi_name in phis:
             phi, phi_prime = _phi_pair(phi_name)
-            res = ibp_residual(phi, phi_prime, f, g, params["n_outer"], cfg,
-                               seed=seed + 131 * pair_index)
-            rows.append(close(f"ibp/{name}/{phi_name}", res.lhs, res.rhs,
-                              res.std_error))
+            lhs, rhs = ibp_residual(phi, phi_prime, f, g, params["n_outer"], cfg,
+                                    seed=seed + 131 * pair_index)
+            rows.append(close(f"ibp/{name}/{phi_name}", lhs.value, rhs.value,
+                              math.hypot(lhs.std_error, rhs.std_error)))
     return rows
 
 
@@ -286,7 +293,7 @@ POINCARE_SUITE = (
 
 @experiment("poincare", "moment bound E|F|^p <= (p-1)^{p/2} E|Gamma|^{p/2}",
             "Poincare-type inequality",
-            p=(2.0, 3.0, 4.0), n_outer=20_000, expr=None, dim=1)
+            p=(2.0, 3.0, 4.0), n_outer=20_000, expr=None, dim=Param(1, needs="expr"))
 def run_poincare(params, seed, workers, cfg):
     """Moment inequality E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, over the
     suite or over expr when it is set."""
@@ -296,10 +303,10 @@ def run_poincare(params, seed, workers, cfg):
         space = build_space(max(dim, 2))
         f = Functional(space, parse_expression(text, space.dim))
         for p in params["p"]:
-            res = poincare_check(f, float(p), params["n_outer"], cfg,
-                                 seed=seed + 977 * fn_index)
-            rows.append(upper(f"poincare/{text}/p={p:g}", res.lhs, res.rhs,
-                              res.std_error))
+            lhs, rhs = poincare_check(f, float(p), params["n_outer"], cfg,
+                                      seed=seed + 977 * fn_index)
+            rows.append(upper(f"poincare/{text}/p={p:g}", lhs.value, rhs.value,
+                              math.hypot(lhs.std_error, rhs.std_error)))
     return rows
 
 
@@ -311,20 +318,22 @@ def run_sudakov(params, seed, workers, cfg):
     """Supremum comparison for dominated Gaussian fields plus the
     independent-additive-noise baseline."""
     d, sigma_f, n_sup = params["d"], params["sigma_f"], params["n_sup"]
-    betas = tuple(params["betas"])
-    t_grid = default_t_grid(params["t_points"])
+    betas, t_grid = params["betas"], default_t_grid(params["t_points"])
     pair = build_gaussian_pair(sigma_f**2 * np.eye(d), params["sigma_g"]**2 * np.eye(d))
-    report = sudakov_fernique_experiment(pair, betas, t_grid, cfg, params["n_outer"],
-                                         n_sup, seed=seed, workers=workers)
-    rows = [upper(f"sudakov/phi-prime/beta={r.beta:g}/t={r.t:.3f}", r.value, 0.0,
-                  r.std_error)
-            for r in report.rows]
-    rows.append(upper("sudakov/max-comparison", report.e_max_f.value,
-                      report.e_max_g.value,
-                      math.hypot(report.e_max_f.std_error, report.e_max_g.std_error)))
+    rows = []
+    for bi, beta in enumerate(betas):
+        for ti, t in enumerate(t_grid):
+            est = sf_phi_prime(pair, float(t), float(beta), cfg, params["n_outer"],
+                               seed=seed + 7919 * bi + 104729 * ti, workers=workers)
+            rows.append(upper(f"sudakov/phi-prime/beta={beta:g}/t={t:.3f}", est.value,
+                              0.0, est.std_error))
+    e_f = expected_max(pair.f, n_sup, seed=seed + 1, workers=workers)
+    e_g = expected_max(pair.g, n_sup, seed=seed + 2, workers=workers)
+    rows.append(upper("sudakov/max-comparison", e_f.value, e_g.value,
+                      math.hypot(e_f.std_error, e_g.std_error)))
     for beta in betas:
-        rows.append(Row(f"sudakov/sandwich-gap/beta={beta:g}",
-                        report.sandwich_gaps[beta], math.log(d) / beta, 0.0,
+        gap = math.log(d) / beta
+        rows.append(Row(f"sudakov/sandwich-gap/beta={beta:g}", gap, gap, 0.0,
                         True, RULE_REPORT))
 
     # Baseline: adding independent centered noise can only raise the expected max.
@@ -356,14 +365,15 @@ def run_slepian(params, seed, workers, cfg):
     base, bump = np.asarray(base, dtype=float), np.asarray(bump, dtype=float)
     pair = build_gaussian_pair(base + np.outer(bump, bump), base)
     fn = quadratic_function(np.ones((d, d)))
-    report = slepian_experiment(pair, fn, default_t_grid(params["t_points"]), cfg,
-                                params["n_outer"], params["n_value"], seed=seed,
-                                workers=workers)
-    rows = [lower(f"slepian/phi-prime/t={r.t:.3f}", r.value, 0.0, r.std_error)
-            for r in report.rows]
-    rows.append(lower("slepian/functional-comparison", report.e_f_of_f.value,
-                      report.e_f_of_g.value,
-                      math.hypot(report.e_f_of_f.std_error, report.e_f_of_g.std_error)))
+    rows = []
+    for ti, t in enumerate(default_t_grid(params["t_points"])):
+        est = slepian_phi_prime(pair, fn, float(t), cfg, params["n_outer"],
+                                seed=seed + 31 * ti, workers=workers)
+        rows.append(lower(f"slepian/phi-prime/t={t:.3f}", est.value, 0.0, est.std_error))
+    e_f = expected_value(pair.f, fn, params["n_value"], seed=seed + 3, workers=workers)
+    e_g = expected_value(pair.g, fn, params["n_value"], seed=seed + 4, workers=workers)
+    rows.append(lower("slepian/functional-comparison", e_f.value, e_g.value,
+                      math.hypot(e_f.std_error, e_g.std_error)))
     return rows
 
 
@@ -465,28 +475,34 @@ def run_fbm_sde(params, seed, workers, cfg):
             table_rows.append(["sde", k] + [repr(float(x)) for x in values[k]])
         tables["paths"] = {"header": header, "rows": table_rows}
 
-    for frac_s, frac_t in params["delta_pairs"]:
+    def delta_pair(frac_s, frac_t):
+        """Grid indices of s and t, and |t - s|^{2H}: the squared canonical
+        metric of the driving noise."""
         s_idx, t_idx = int(round(frac_s * m)), int(round(frac_t * m))
+        gap = abs(grid.times[t_idx] - grid.times[s_idx])
+        return s_idx, t_idx, float(gap ** (2.0 * grid.hurst))
+
+    for frac_s, frac_t in params["delta_pairs"]:
+        s_idx, t_idx, reference = delta_pair(frac_s, frac_t)
         est = delta_fbm(grid, ZERO_DRIFT, s_idx, t_idx, cfg=cfg, n_outer=8,
                         seed=seed, workers=1)
         rows.append(close(f"fbm/delta-driftless/s={frac_s:g},t={frac_t:g}",
-                          est.value, est.reference, est.std_error, rel=0.02))
+                          est.value, reference, est.std_error, rel=0.02))
 
     for frac_s, frac_t in ((0.125, 0.625), (0.0, 1.0)):
-        s_idx, t_idx = int(round(frac_s * m)), int(round(frac_t * m))
+        s_idx, t_idx, reference = delta_pair(frac_s, frac_t)
         est = delta_fbm(grid, TANH_DRIFT, s_idx, t_idx, cfg=cfg,
                         n_outer=params["n_outer"], seed=seed + 3, workers=workers)
         rows.append(lower(f"fbm/delta-increasing-drift/s={frac_s:g},t={frac_t:g}",
-                          est.value, est.reference, est.std_error))
+                          est.value, reference, est.std_error))
 
-    up = sup_comparison(grid, TANH_DRIFT, n_paths=n_paths, seed=seed + 5,
-                        workers=workers)
-    rows.append(lower("fbm/sup-increasing-drift", up.e_max_centered_sde,
-                      up.e_max_fbm, up.combined_se))
-    down = sup_comparison(grid, NEG_TANH_DRIFT, n_paths=n_paths, seed=seed + 6,
-                          workers=workers)
-    rows.append(upper("fbm/sup-decreasing-drift", down.e_max_centered_sde,
-                      down.e_max_fbm, down.combined_se))
+    for name, drift, check, salt in (
+            ("fbm/sup-increasing-drift", TANH_DRIFT, lower, 5),
+            ("fbm/sup-decreasing-drift", NEG_TANH_DRIFT, upper, 6)):
+        sde, driving = sup_comparison(grid, drift, n_paths=n_paths, seed=seed + salt,
+                                      workers=workers)
+        rows.append(check(name, sde.value, driving.value,
+                          math.hypot(sde.std_error, driving.std_error)))
     return (rows, tables) if tables else rows
 
 
@@ -535,15 +551,15 @@ def run_sk_generic_bound(params, seed, workers, cfg):
     for spec in params["families"]:
         family = _family_from_spec(spec)
         for n in ns:
-            res = generic_bound_check(family, n, beta, f_name=params["f"],
-                                      n_media=params["n_media"], seed=seed)
-            rows.append(upper(f"sk/generic-bound/{res.family_label}/N={n}",
-                              res.lhs, res.rhs, res.std_error))
+            lhs, rhs = generic_bound_check(family, n, beta, f_name=params["f"],
+                                           n_media=params["n_media"], seed=seed)
+            rows.append(upper(f"sk/generic-bound/{family.label(n)}/N={n}",
+                              lhs.value, rhs, lhs.std_error))
     gaps = []
     for n in ns:
-        pg = paired_chaos2_gap(n, beta, n_media=params["gap_media"], seed=seed)
-        gaps.append(abs(pg.gap))
-        rows.append(Row(f"sk/paired-gap/N={n}", pg.gap, 0.0, pg.std_error,
+        gap = paired_chaos2_gap(n, beta, n_media=params["gap_media"], seed=seed)
+        gaps.append(abs(gap.value))
+        rows.append(Row(f"sk/paired-gap/N={n}", gap.value, 0.0, gap.std_error,
                         True, RULE_REPORT))
     decreasing = all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
     rows.append(Row("sk/gap-monotone-decreasing", gaps[0], gaps[-1], 0.0,
@@ -558,7 +574,8 @@ def run_sk_generic_bound(params, seed, workers, cfg):
                       {"kind": "clt-chaos2", "m": 4},
                       {"kind": "correlated-gaussian", "r": 3.0}))
 def run_sk_gamma_bound(params, seed, workers, cfg):
-    """Gamma bound for the centered free energy, per sampled medium."""
+    """Gamma bound for the centered free energy, per sampled medium; a row
+    shows the medium with the least slack."""
     n = params["n"]
     rows = []
     for spec in params["families"]:
@@ -566,16 +583,13 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B]))
         media = [medium_sample(family, n, rng) for _ in range(params["n_media"])]
         for beta in params["betas"]:
-            worst_lhs, worst_rhs = 0.0, 0.0
-            ok = True
-            for medium in media:
-                res = gamma_f_bound_check(medium, beta)
-                ok = ok and res.passed
-                if res.lhs - res.rhs > worst_lhs - worst_rhs:
-                    worst_lhs, worst_rhs = res.lhs, res.rhs
-            rows.append(Row(
-                f"sk/gamma-bound/{family.label(n)}/beta={beta:g}",
-                worst_lhs, worst_rhs, 0.0, ok, RULE_EXACT))
+            bounds = [gamma_f_bound_check(medium, beta) for medium in media]
+            lhs = np.array([b.lhs for b in bounds])
+            rhs = np.array([b.rhs for b in bounds])
+            # The relative and absolute floors absorb rounding in an exact bound.
+            rows.append(_tightest(f"sk/gamma-bound/{family.label(n)}/beta={beta:g}",
+                                  lhs, rhs, 0.0, rhs * (1.0 + 1e-12) + 1e-300 - lhs,
+                                  "pass when lhs <= rhs (1 + 1e-12) + 1e-300"))
     return rows
 
 

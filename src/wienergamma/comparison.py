@@ -30,9 +30,10 @@ from .core import (
     sample,
 )
 from .engine import (
+    Estimate,
     MehlerConfig,
-    RunningMoments,
     gamma_pointwise,
+    mean_estimate,
     minus_dl_gradient_estimates,
 )
 from .parallel import run_chunked
@@ -40,15 +41,6 @@ from .parallel import run_chunked
 
 class BlockOverlapError(ValueError):
     """The two fields of a comparison share coordinates."""
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    std_error: float
-
-
-DEFAULT_BETAS = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 def default_t_grid(n_points: int = 21) -> np.ndarray:
@@ -153,16 +145,13 @@ def _affine_delta_matrix(grads: np.ndarray) -> np.ndarray:
 def sf_phi_value(pair: FieldPair, t: float, beta: float, n_outer: int,
                  seed: int = 0, workers: int = 1) -> Estimate:
     """phi(t) = (1/beta) E log sum_i exp(beta (sqrt(1-t) G_i + sqrt(t) F_i))."""
-    acc = RunningMoments()
 
     def job(chunk, rng):
         pts = sample(pair.space, rng, chunk)
         interp = math.sqrt(1.0 - t) * pair.g.eval_all(pts) + math.sqrt(t) * pair.f.eval_all(pts)
         return softmax_sup(beta, interp)
 
-    for vals in run_chunked(n_outer, workers, seed, 0x501, job):
-        acc.add_batch(vals)
-    return Estimate(acc.mean, acc.std_error)
+    return mean_estimate(run_chunked(n_outer, workers, seed, 0x501, job))
 
 
 def _delta_matrices_at(pair: FieldPair, pts: np.ndarray, cfg: MehlerConfig,
@@ -198,7 +187,6 @@ def sf_phi_prime(pair: FieldPair, t: float, beta: float, cfg: MehlerConfig,
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"t must lie in (0, 1), got {t}")
-    acc = RunningMoments()
 
     def job(chunk, rng):
         pts = sample(pair.space, rng, chunk)
@@ -209,60 +197,18 @@ def sf_phi_prime(pair: FieldPair, t: float, beta: float, cfg: MehlerConfig,
         gap = delta_f - delta_g
         return (beta / 4.0) * np.einsum("bi,bij,bj->b", h, gap, h)
 
-    for vals in run_chunked(n_outer, workers, seed, 0x5F1, job):
-        acc.add_batch(vals)
-    return Estimate(acc.mean, acc.std_error)
+    return mean_estimate(run_chunked(n_outer, workers, seed, 0x5F1, job))
 
 
 def expected_max(fld: RandomField, n_samples: int, seed: int = 0,
                  workers: int = 1) -> Estimate:
     """E[max_i field_i] by plain Monte Carlo."""
-    acc = RunningMoments()
 
     def job(chunk, rng):
         pts = sample(fld.space, rng, chunk)
         return np.max(fld.eval_all(pts), axis=-1)
 
-    for vals in run_chunked(n_samples, workers, seed, 0xE3A, job):
-        acc.add_batch(vals)
-    return Estimate(acc.mean, acc.std_error)
-
-
-@dataclass(frozen=True)
-class PhiPrimeRow:
-    beta: float
-    t: float
-    value: float
-    std_error: float
-
-
-@dataclass(frozen=True)
-class SudakovReport:
-    e_max_f: Estimate
-    e_max_g: Estimate
-    rows: tuple[PhiPrimeRow, ...]
-    sandwich_gaps: dict  # beta -> log(d)/beta
-
-
-def sudakov_fernique_experiment(pair: FieldPair, betas=DEFAULT_BETAS,
-                                t_grid: np.ndarray | None = None,
-                                cfg: MehlerConfig = MehlerConfig(),
-                                n_outer: int = 10_000, n_sup: int = 100_000,
-                                seed: int = 0, workers: int = 1) -> SudakovReport:
-    """Full supremum-comparison run: phi' sign profile plus both expected maxima."""
-    if t_grid is None:
-        t_grid = default_t_grid()
-    d = pair.dim
-    rows = []
-    for bi, beta in enumerate(betas):
-        for ti, t in enumerate(t_grid):
-            est = sf_phi_prime(pair, float(t), float(beta), cfg, n_outer,
-                               seed=seed + 7919 * bi + 104729 * ti, workers=workers)
-            rows.append(PhiPrimeRow(float(beta), float(t), est.value, est.std_error))
-    e_f = expected_max(pair.f, n_sup, seed=seed + 1, workers=workers)
-    e_g = expected_max(pair.g, n_sup, seed=seed + 2, workers=workers)
-    gaps = {float(b): math.log(d) / float(b) for b in betas}
-    return SudakovReport(e_max_f=e_f, e_max_g=e_g, rows=tuple(rows), sandwich_gaps=gaps)
+    return mean_estimate(run_chunked(n_samples, workers, seed, 0xE3A, job))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +304,6 @@ def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    acc = RunningMoments()
 
     def job(chunk, rng):
         pts = sample(pair.space, rng, chunk)
@@ -369,47 +314,18 @@ def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
         gamma_g = _gamma_matrices_at(pair.g, pts, cfg, rng)
         return 0.5 * np.einsum("bij,bij->b", hess, gamma_f - gamma_g)
 
-    for per_sample in run_chunked(n_outer, workers, seed, 0x51E, job):
-        acc.add_batch(per_sample)
-    return Estimate(acc.mean, acc.std_error)
+    return mean_estimate(run_chunked(n_outer, workers, seed, 0x51E, job))
 
 
-@dataclass(frozen=True)
-class SlepianReport:
-    e_f_of_f: Estimate
-    e_f_of_g: Estimate
-    rows: tuple[PhiPrimeRow, ...]
+def expected_value(fld: RandomField, fn: HessianFunction, n_samples: int,
+                   seed: int = 0, workers: int = 1) -> Estimate:
+    """E[f(field)] by plain Monte Carlo."""
 
+    def job(chunk, rng):
+        pts = sample(fld.space, rng, chunk)
+        return fn.fun(fld.eval_all(pts))
 
-def slepian_experiment(pair: FieldPair, fn: HessianFunction,
-                       t_grid: np.ndarray | None = None,
-                       cfg: MehlerConfig = MehlerConfig(),
-                       n_outer: int = 10_000, n_value: int = 100_000,
-                       seed: int = 0, workers: int = 1) -> SlepianReport:
-    if t_grid is None:
-        t_grid = default_t_grid(11)
-    rows = []
-    for ti, t in enumerate(t_grid):
-        est = slepian_phi_prime(pair, fn, float(t), cfg, n_outer,
-                                seed=seed + 31 * ti, workers=workers)
-        rows.append(PhiPrimeRow(float("nan"), float(t), est.value, est.std_error))
-
-    def value_of(fld, salt):
-        acc = RunningMoments()
-
-        def job(chunk, rng):
-            pts = sample(fld.space, rng, chunk)
-            return fn.fun(fld.eval_all(pts))
-
-        for vals in run_chunked(n_value, workers, seed + salt, 0x5E2, job):
-            acc.add_batch(vals)
-        return Estimate(acc.mean, acc.std_error)
-
-    return SlepianReport(
-        e_f_of_f=value_of(pair.f, 3),
-        e_f_of_g=value_of(pair.g, 4),
-        rows=tuple(rows),
-    )
+    return mean_estimate(run_chunked(n_samples, workers, seed, 0x5E2, job))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +369,8 @@ class ConcentrationResult:
     tail: float
     tail_std_error: float
     bound: float
-    operator_norm_value: float
     psd_margin: float       # most negative eigenvalue of C - Gamma seen
     psd_std_error: float    # largest Gamma std error seen
-    n_samples: int
 
 
 def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
@@ -484,28 +398,20 @@ def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
         margin = min(margin, eigmin)
         max_se = max(max_se, float(errors.max()))
 
-    op_norm = operator_norm(c_matrix)
-    bound = math.exp(-float(x @ x) / (2.0 * op_norm))
-
-    hits = RunningMoments()
+    bound = math.exp(-float(x @ x) / (2.0 * operator_norm(c_matrix)))
 
     def job(chunk, rng):
         sample_pts = sample(fld.space, rng, chunk)
         vals = fld.eval_all(sample_pts)
         return np.all(vals >= x, axis=-1).astype(float)
 
-    for indicator in run_chunked(n_outer, workers, seed, 0xC02, job):
-        hits.add_batch(indicator)
-    p_hat = hits.mean
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / hits.count)
+    p_hat = mean_estimate(run_chunked(n_outer, workers, seed, 0xC02, job)).value
     return ConcentrationResult(
         tail=p_hat,
-        tail_std_error=se,
+        tail_std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n_outer),
         bound=bound,
-        operator_norm_value=op_norm,
         psd_margin=margin,
         psd_std_error=max_se,
-        n_samples=hits.count,
     )
 
 

@@ -15,6 +15,10 @@ four callers differ only in ``term``: ``gamma_pointwise``,
 ``coupled_gamma_values``, ``minus_dl_gradient_estimates`` and
 ``fbm.delta_fbm``.
 
+Monte Carlo estimators return an ``Estimate`` (a mean and its standard
+error) or an (lhs, rhs) pair of them, and ``mean_estimate`` is the one fold
+from sample batches to an Estimate.
+
 Two sampling regimes share this representation:
 
 * pointwise: one base point, ``mc_samples`` inner copies (``gamma_pointwise``);
@@ -55,10 +59,11 @@ class MehlerConfig:
 
 
 @dataclass(frozen=True)
-class GammaEstimate:
+class Estimate:
+    """A Monte Carlo mean and its standard error."""
+
     value: float
     std_error: float
-    n_samples: int
 
 
 class RunningMoments:
@@ -96,6 +101,14 @@ class RunningMoments:
         if self.count < 1:
             return 0.0
         return math.sqrt(self.variance / self.count)
+
+
+def mean_estimate(batches) -> Estimate:
+    """Mean and standard error of the samples in ``batches``, merged in order."""
+    acc = RunningMoments()
+    for batch in batches:
+        acc.add_batch(batch)
+    return Estimate(acc.mean, acc.std_error)
 
 
 def gauss_legendre_unit(n_nodes: int):
@@ -139,7 +152,7 @@ def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, te
 
 
 def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
-                    rng: np.random.Generator | None = None) -> GammaEstimate:
+                    rng: np.random.Generator | None = None) -> Estimate:
     """Estimate Gamma_{F,G} at one sample point.
 
     ``f`` and ``g`` can be Functionals or chaos forms -- anything with a
@@ -160,14 +173,12 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
     if cfg.antithetic:
         half = inner.shape[0] // 2
         per_sample = 0.5 * (per_sample[:half] + per_sample[half:])
-    acc = RunningMoments()
-    acc.add_batch(per_sample)
-    return GammaEstimate(value=acc.mean, std_error=acc.std_error, n_samples=acc.count)
+    return mean_estimate([per_sample])
 
 
 def capital_delta(f_s: Functional, f_t: Functional, omega: np.ndarray,
                   cfg: MehlerConfig,
-                  rng: np.random.Generator | None = None) -> GammaEstimate:
+                  rng: np.random.Generator | None = None) -> Estimate:
     """Delta_F(s, t) = Gamma applied twice to the difference F_t - F_s."""
     diff = functional_difference(f_t, f_s)
     return gamma_pointwise(diff, diff, omega, cfg, rng=rng)
@@ -235,23 +246,12 @@ def require_centered(f, points: np.ndarray, what: str = "functional"):
         raise CenteringError(f"{what} is deterministic and nonzero: {mean:.4g}")
 
 
-@dataclass(frozen=True)
-class IbpResult:
-    lhs: float
-    rhs: float
-    lhs_std_error: float
-    rhs_std_error: float
-    std_error: float  # combined
-    n_outer: int
-
-
 def ibp_residual(phi, phi_prime, f, g, n_outer: int, cfg: MehlerConfig,
-                 seed: int | None = None) -> IbpResult:
-    """Both sides of E[Phi(F) G] = E[Phi'(F) Gamma_{F,G}].
+                 seed: int | None = None) -> tuple[Estimate, Estimate]:
+    """Both sides of E[Phi(F) G] = E[Phi'(F) Gamma_{F,G}], as (lhs, rhs).
 
-    G must be centered (see ``require_centered``).
-    Both sides are averaged over the same fresh outer points; the combined
-    standard error is the root-sum-square of the two sides'.
+    G must be centered (see ``require_centered``).  Both sides are averaged
+    over the same fresh outer points.
     """
     space = f.space
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -260,42 +260,15 @@ def ibp_residual(phi, phi_prime, f, g, n_outer: int, cfg: MehlerConfig,
     require_centered(g, points, what="G")
 
     f_vals = f.eval(points)
-    g_vals = g.eval(points)
-    lhs_acc = RunningMoments()
-    lhs_acc.add_batch(np.asarray(phi(f_vals)) * g_vals)
-
+    lhs = mean_estimate([np.asarray(phi(f_vals)) * g.eval(points)])
     gamma_vals = coupled_gamma_values(f, g, points, cfg, rng)
-    rhs_acc = RunningMoments()
-    rhs_acc.add_batch(np.asarray(phi_prime(f_vals)) * gamma_vals)
-
-    combined = math.hypot(lhs_acc.std_error, rhs_acc.std_error)
-    return IbpResult(
-        lhs=lhs_acc.mean,
-        rhs=rhs_acc.mean,
-        lhs_std_error=lhs_acc.std_error,
-        rhs_std_error=rhs_acc.std_error,
-        std_error=combined,
-        n_outer=n_outer,
-    )
-
-
-@dataclass(frozen=True)
-class PoincareResult:
-    p: float
-    lhs: float  # E|F|^p
-    rhs: float  # (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}
-    lhs_std_error: float
-    rhs_std_error: float
-    n_outer: int
-
-    @property
-    def std_error(self) -> float:
-        return math.hypot(self.lhs_std_error, self.rhs_std_error)
+    return lhs, mean_estimate([np.asarray(phi_prime(f_vals)) * gamma_vals])
 
 
 def poincare_check(f, p: float, n_outer: int, cfg: MehlerConfig,
-                   seed: int | None = None) -> PoincareResult:
-    """Monte Carlo check of E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, p >= 2."""
+                   seed: int | None = None) -> tuple[Estimate, Estimate]:
+    """Both sides of E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, p >= 2, as
+    (lhs, rhs)."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     space = f.space
@@ -304,18 +277,6 @@ def poincare_check(f, p: float, n_outer: int, cfg: MehlerConfig,
     points = sample(space, rng, n_outer)
     require_centered(f, points, what="F")
 
-    lhs_acc = RunningMoments()
-    lhs_acc.add_batch(np.abs(f.eval(points)) ** p)
-
+    lhs = mean_estimate([np.abs(f.eval(points)) ** p])
     gamma_vals = coupled_gamma_values(f, f, points, cfg, rng)
-    rhs_acc = RunningMoments()
-    rhs_acc.add_batch((p - 1.0) ** (p / 2.0) * np.abs(gamma_vals) ** (p / 2.0))
-
-    return PoincareResult(
-        p=p,
-        lhs=lhs_acc.mean,
-        rhs=rhs_acc.mean,
-        lhs_std_error=lhs_acc.std_error,
-        rhs_std_error=rhs_acc.std_error,
-        n_outer=n_outer,
-    )
+    return lhs, mean_estimate([(p - 1.0) ** (p / 2.0) * np.abs(gamma_vals) ** (p / 2.0)])

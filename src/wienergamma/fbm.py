@@ -13,17 +13,17 @@ long-memory kernel enters only through the increment Gram matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import WienerSpace, build_space
 from .engine import (
+    Estimate,
     MehlerConfig,
-    RunningMoments,
     inner_copies_per_point,
     inner_normals,
+    mean_estimate,
     mehler_integral,
 )
 from .parallel import run_chunked
@@ -166,17 +166,9 @@ def _increment_derivative(cumulative: np.ndarray, t_idx: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DeltaEstimate:
-    value: float
-    std_error: float
-    n_outer: int
-    reference: float  # |t - s|^{2H}, the driving-noise squared canonical metric
-
-
 def delta_fbm(grid: FbmGrid, drift: DriftSpec, s_idx: int, t_idx: int,
               x0: float = 0.0, cfg: MehlerConfig = MehlerConfig(),
-              n_outer: int = 400, seed: int = 0, workers: int = 1) -> DeltaEstimate:
+              n_outer: int = 400, seed: int = 0, workers: int = 1) -> Estimate:
     """Average of Delta_F(t_s, t_t) = Gamma_{F_t - F_s, F_t - F_s} over paths.
 
     The inner expectation re-solves the SDE on Mehler-shifted coordinates (the
@@ -189,7 +181,6 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, s_idx: int, t_idx: int,
     space = fbm_space(grid)
     times = grid.times
     per = inner_copies_per_point(cfg, n_outer)
-    acc = RunningMoments()
 
     def diff_gradient_whitened(xi):
         paths = paths_from_whitened(space, xi)
@@ -211,29 +202,13 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, s_idx: int, t_idx: int,
 
         return mehler_integral(xi[:, None, :], inner, cfg, term)
 
-    for vals in run_chunked(n_outer, workers, seed, 0xFB1, job):
-        acc.add_batch(vals)
-    reference = float(abs(times[t_idx] - times[s_idx]) ** (2.0 * grid.hurst))
-    return DeltaEstimate(acc.mean, acc.std_error, acc.count, reference)
-
-
-@dataclass(frozen=True)
-class SupComparisonReport:
-    e_max_centered_sde: float
-    e_max_centered_sde_se: float
-    e_max_fbm: float
-    e_max_fbm_se: float
-    n_paths: int
-
-    @property
-    def combined_se(self) -> float:
-        return math.hypot(self.e_max_centered_sde_se, self.e_max_fbm_se)
+    return mean_estimate(run_chunked(n_outer, workers, seed, 0xFB1, job))
 
 
 def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
                    n_paths: int = 100_000, seed: int = 0,
-                   workers: int = 1) -> SupComparisonReport:
-    """Compare E[max_t (F_t - E F_t)] against E[max_t B^H_t] over the grid.
+                   workers: int = 1) -> tuple[Estimate, Estimate]:
+    """E[max_t (F_t - E F_t)] and E[max_t B^H_t] over the grid, in that order.
 
     E F_t comes from an independent pilot run of the same size, so centering
     does not reuse the comparison paths.  The fBm maximum is taken from the
@@ -246,31 +221,15 @@ def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
     def pilot_job(chunk, rng):
         paths, _ = fbm_sample(grid, rng, size=chunk, space=space)
         values = euler_solve(x0, drift, paths, times)
-        return values.sum(axis=0), chunk
+        return values.sum(axis=0)
 
-    sums = np.zeros(times.size)
-    total = 0
-    for s, c in run_chunked(n_paths, workers, seed, 0xF1A, pilot_job):
-        sums += s
-        total += c
-    mean_path = sums / total
-
-    sde_acc = RunningMoments()
-    fbm_acc = RunningMoments()
+    mean_path = sum(run_chunked(n_paths, workers, seed, 0xF1A, pilot_job)) / n_paths
 
     def main_job(chunk, rng):
         paths, _ = fbm_sample(grid, rng, size=chunk, space=space)
         values = euler_solve(x0, drift, paths, times)
         return (values - mean_path).max(axis=-1), paths.max(axis=-1)
 
-    for centered_max, driving_max in run_chunked(n_paths, workers, seed, 0xF1B, main_job):
-        sde_acc.add_batch(centered_max)
-        fbm_acc.add_batch(driving_max)
-
-    return SupComparisonReport(
-        e_max_centered_sde=sde_acc.mean,
-        e_max_centered_sde_se=sde_acc.std_error,
-        e_max_fbm=fbm_acc.mean,
-        e_max_fbm_se=fbm_acc.std_error,
-        n_paths=sde_acc.count,
-    )
+    maxima = run_chunked(n_paths, workers, seed, 0xF1B, main_job)
+    return (mean_estimate(sde for sde, _ in maxima),
+            mean_estimate(driving for _, driving in maxima))

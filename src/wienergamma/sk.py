@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtri
 
+from .engine import Estimate
+
 MAX_EXACT_SPINS = 24
 MAX_GIBBS_SPINS = 20
 MAX_PAIR_SPINS = 8
@@ -323,22 +325,28 @@ class Medium:
 _CORR_CHOL_CACHE: dict = {}
 
 
+def _correlated_cov(n: int, r: float) -> np.ndarray:
+    """Covariance (1 + |i-k| + |j-l|)^{-r} of the entries in half-index order."""
+    rows, cols = upper_pairs(n)
+    di = np.abs(rows[:, None] - rows[None, :])
+    dj = np.abs(cols[:, None] - cols[None, :])
+    return (1.0 + di + dj) ** (-float(r))
+
+
 def _correlated_factor(n: int, r: float) -> np.ndarray:
     key = (n, float(r))
     if key not in _CORR_CHOL_CACHE:
-        rows, cols = upper_pairs(n)
-        di = np.abs(rows[:, None] - rows[None, :])
-        dj = np.abs(cols[:, None] - cols[None, :])
-        cov = (1.0 + di + dj) ** (-float(r))
-        _CORR_CHOL_CACHE[key] = np.linalg.cholesky(cov)
+        _CORR_CHOL_CACHE[key] = np.linalg.cholesky(_correlated_cov(n, r))
     return _CORR_CHOL_CACHE[key]
 
 
-def _symmetrize(upper_values: np.ndarray, n: int) -> np.ndarray:
+def _symmetrize(entries: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric (..., N, N) matrices with zero diagonal from half-index
+    entries (..., N(N-1)/2)."""
     rows, cols = upper_pairs(n)
-    out = np.zeros((n, n))
-    out[rows, cols] = upper_values
-    out[cols, rows] = upper_values
+    out = np.zeros(entries.shape[:-1] + (n, n))
+    out[..., rows, cols] = entries
+    out[..., cols, rows] = entries
     return out
 
 
@@ -403,10 +411,7 @@ def condition_audit(family: MediumFamily, n: int) -> ConditionAudit:
     """Exact values of the correlation, proximity and moment sums."""
     n_bar = n * (n - 1) // 2
     if family.kind == "correlated-gaussian":
-        rows, cols = upper_pairs(n)
-        di = np.abs(rows[:, None] - rows[None, :])
-        dj = np.abs(cols[:, None] - cols[None, :])
-        cov = (1.0 + di + dj) ** (-float(family.r))
+        cov = _correlated_cov(n, family.r)
         off = np.abs(cov) - np.diag(np.diag(cov))
         sum_cross = float(np.sum(off))
         max_row = float(np.max(np.sum(off, axis=1)))
@@ -444,30 +449,17 @@ TEST_MAPS = {
 }
 
 
-@dataclass(frozen=True)
-class GenericBoundResult:
-    family_label: str
-    n: int
-    beta: float
-    f_name: str
-    lhs: float
-    rhs: float
-    std_error: float
-    n_media: int
-    mean_star: float
-    mean_family: float
-
-
 def generic_bound_check(family: MediumFamily, n: int, beta: float,
                         f_name: str = "tanh", n_media: int = 200,
-                        seed: int = 0) -> GenericBoundResult:
+                        seed: int = 0) -> tuple[Estimate, float]:
     """Free-energy comparison of a family against the IID-Gaussian star law:
 
         |E f(p_N^*) - E f(p_N)| <= (3 c g^2 / 2) [sum E|1 - Gamma_ee|
                                                   + sum E|Gamma_cross|]
 
     with c = 1/N and g = beta / sqrt(N), both sums taken from the exact
-    condition audit.  Both expectations are estimated over n_media draws.
+    condition audit.  Both expectations are estimated over n_media draws;
+    returns the estimated left side and the exact right side.
     """
     if f_name not in TEST_MAPS:
         raise ValueError(
@@ -485,25 +477,12 @@ def generic_bound_check(family: MediumFamily, n: int, beta: float,
     ])
     f_star = f(free_energy_batch(star, beta))
     f_fam = f(free_energy_batch(fam, beta))
-    lhs = abs(float(np.mean(f_star) - np.mean(f_fam)))
-    se = math.hypot(
+    lhs = Estimate(abs(float(np.mean(f_star) - np.mean(f_fam))), math.hypot(
         float(np.std(f_star, ddof=1)) / math.sqrt(n_media),
         float(np.std(f_fam, ddof=1)) / math.sqrt(n_media),
-    )
+    ))
     audit = condition_audit(family, n)
-    rhs = (3.0 * beta**2 / (2.0 * n**2)) * (audit.sum_diag_gap + audit.sum_cross_abs)
-    return GenericBoundResult(
-        family_label=family.label(n),
-        n=n,
-        beta=beta,
-        f_name=f_name,
-        lhs=lhs,
-        rhs=rhs,
-        std_error=se,
-        n_media=n_media,
-        mean_star=float(np.mean(f_star)),
-        mean_family=float(np.mean(f_fam)),
-    )
+    return lhs, (3.0 * beta**2 / (2.0 * n**2)) * (audit.sum_diag_gap + audit.sum_cross_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +493,6 @@ def generic_bound_check(family: MediumFamily, n: int, beta: float,
 class GammaFBound:
     lhs: float  # |Gamma_{F_N, F_N}| through the two-copy Gibbs identity
     rhs: float  # (2 beta^2 / N^3) sum |Gamma_{J_e, J_e}|
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-12) + 1e-300
 
 
 def gamma_f_bound_check(medium: Medium, beta: float) -> GammaFBound:
@@ -540,16 +515,6 @@ def gamma_f_bound_check(medium: Medium, beta: float) -> GammaFBound:
     return GammaFBound(lhs=lhs, rhs=rhs)
 
 
-def gamma_f_value(medium: Medium, beta: float) -> float:
-    """Signed Gamma_{F_N, F_N} through the same two-copy identity."""
-    n = medium.n
-    corr = spin_correlations(medium.coupling, beta)
-    rows, cols = upper_pairs(n)
-    gamma_entries = medium.gamma_diag[rows, cols]
-    return (2.0 * beta**2 / n**3) * float(
-        np.sum(gamma_entries * corr[rows, cols] ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Paired gap estimator for the scaled chi-square family
 # ---------------------------------------------------------------------------
@@ -566,18 +531,9 @@ def chaos2_star_coupling(entries: np.ndarray, m: int) -> np.ndarray:
     return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
 
 
-@dataclass(frozen=True)
-class PairedGap:
-    n: int
-    beta: float
-    gap: float          # E[p(chaos2(m=N))] - E[p(iid-gaussian)]
-    std_error: float
-    n_media: int
-
-
 def paired_chaos2_gap(n: int, beta: float, n_media: int, seed: int = 0,
-                      batch: int = 2_000) -> PairedGap:
-    """Free-energy gap of the chaos2(m=N) family to the IID star law.
+                      batch: int = 2_000) -> Estimate:
+    """Free-energy gap E[p(chaos2(m=N))] - E[p(iid-gaussian)] to the IID star law.
 
     Variance reduction, both components unbiased: (1) the star medium is the
     quantile-coupled image of the chaos medium, so the two free energies are
@@ -585,36 +541,23 @@ def paired_chaos2_gap(n: int, beta: float, n_media: int, seed: int = 0,
     statistic (beta^2/N^2) sum_e (J_e^2 - 1) is subtracted from each side.
     """
     m = n
-    rows, cols = upper_pairs(n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A9, n]))
     diffs = []
     remaining = n_media
     while remaining > 0:
         b = min(batch, remaining)
         remaining -= b
-        z = rng.standard_normal((b, len(rows), m))
+        z = rng.standard_normal((b, n * (n - 1) // 2, m))
         chaos = np.sum(z * z - 1.0, axis=2) / math.sqrt(2.0 * m)
         star = chaos2_star_coupling(chaos, m)
-        p_chaos = free_energy_batch(_symmetrize_batch(chaos, n, rows, cols), beta)
-        p_star = free_energy_batch(_symmetrize_batch(star, n, rows, cols), beta)
+        p_chaos = free_energy_batch(_symmetrize(chaos, n), beta)
+        p_star = free_energy_batch(_symmetrize(star, n), beta)
         control = (beta**2 / n**2) * (
             np.sum(chaos**2 - 1.0, axis=1) - np.sum(star**2 - 1.0, axis=1))
         diffs.append(p_chaos - p_star - control)
     diffs = np.concatenate(diffs)
-    return PairedGap(
-        n=n,
-        beta=beta,
-        gap=float(np.mean(diffs)),
-        std_error=float(np.std(diffs, ddof=1)) / math.sqrt(diffs.size),
-        n_media=diffs.size,
-    )
-
-
-def _symmetrize_batch(entries: np.ndarray, n: int, rows, cols) -> np.ndarray:
-    out = np.zeros((entries.shape[0], n, n))
-    out[:, rows, cols] = entries
-    out[:, cols, rows] = entries
-    return out
+    return Estimate(float(np.mean(diffs)),
+                    float(np.std(diffs, ddof=1)) / math.sqrt(diffs.size))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +569,6 @@ class ConvergenceRow:
     family_label: str
     n: int
     mean: float
-    sd: float
     std_error: float
     gap_to_star: float
 
@@ -648,7 +590,6 @@ def convergence_experiment(families, beta: float, ns, n_media: int,
             family_label="iid-gaussian*",
             n=n,
             mean=star_mean,
-            sd=float(np.std(star_vals, ddof=1)),
             std_error=float(np.std(star_vals, ddof=1)) / math.sqrt(n_media),
             gap_to_star=0.0,
         ))
@@ -663,7 +604,6 @@ def convergence_experiment(families, beta: float, ns, n_media: int,
                 family_label=family.label(n),
                 n=n,
                 mean=float(np.mean(vals)),
-                sd=float(np.std(vals, ddof=1)),
                 std_error=float(np.std(vals, ddof=1)) / math.sqrt(n_media),
                 gap_to_star=float(np.mean(vals)) - star_mean,
             ))

@@ -188,12 +188,13 @@ class TestCriterion08Poincare:
     def test_p2_gaussian_near_equality(self):
         space = build_space(2)
         f = Functional(space, w(0))
-        res = poincare_check(f, 2.0, n_outer=400_000, cfg=DEFAULT_CFG, seed=110)
-        gap = abs(res.lhs - res.rhs)
-        row = upper("poincare/p=2", res.lhs, res.rhs, res.std_error)
+        lhs, rhs = poincare_check(f, 2.0, n_outer=400_000, cfg=DEFAULT_CFG, seed=110)
+        gap = abs(lhs.value - rhs.value)
+        row = upper("poincare/p=2", lhs.value, rhs.value,
+                    math.hypot(lhs.std_error, rhs.std_error))
         announce(8, gap < 0.01 and row.verdict,
-                 f"p=2 Gaussian case within 1% of equality (|{res.lhs:.5f} - "
-                 f"{res.rhs:.5f}| = {gap:.5f})")
+                 f"p=2 Gaussian case within 1% of equality (|{lhs.value:.5f} - "
+                 f"{rhs.value:.5f}| = {gap:.5f})")
 
 
 class TestCriterion09FbmSde:

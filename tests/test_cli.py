@@ -10,6 +10,7 @@ import pytest
 from wienergamma import cli
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 from wienergamma.engine import MehlerConfig
+from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
 
 
 SMALL_MEHLER = {"quad_nodes": 8, "mc_samples": 256}
@@ -26,8 +27,9 @@ CONSTRUCTORS = {
     "pass when |lhs - rhs| <= max(0.02 |rhs|, 3 SE)": partial(close, rel=0.02),
 }
 OTHER_RULES = {
-    "exact arithmetic", "report only", "pass when |value - closed form| <= 1e-12",
-    "pass when bit-identical", "pass when |gap| decreases along the ladder",
+    "pass when lhs <= rhs (1 + 1e-12) + 1e-300", "report only",
+    "pass when |value - closed form| <= 1e-12", "pass when bit-identical",
+    "pass when |gap| decreases along the ladder",
 }
 
 
@@ -241,6 +243,11 @@ BAD_INPUTS = {
     "empty-phi": (_config("ibp-check", phi=[]), "error: ", "'phi': []"),
     "empty-sk-convergence-ns": (_config("sk-convergence", ns=[]), "error in config ",
                                 "'ns'"),
+    "ibp-g-expr-without-f-expr": (_config("ibp-check", g_expr="w0"), "error in config ",
+                                  "'g_expr'"),
+    "ibp-dim-without-f-expr": (_config("ibp-check", dim=2), "error in config ", "'dim'"),
+    "poincare-dim-without-expr": (_config("poincare", dim=2), "error in config ",
+                                  "'dim'"),
 }
 
 
@@ -274,6 +281,20 @@ def test_bug_in_a_runner_keeps_its_traceback(tmp_path, monkeypatch):
     config_path.write_text('{"command": "gamma"}')
     with pytest.raises(TypeError, match="bug"):
         main(["--config", str(config_path), "--out", str(tmp_path / "out")])
+
+
+def test_sk_gamma_bound_row_shows_the_least_slack_medium():
+    params = {"n": 6, "n_media": 5, "betas": [0.0, 1.0], "families": ["iid-gaussian"]}
+    report = run({"command": "sk-gamma-bound", "seed": 1, "params": params})
+    rng = np.random.default_rng(np.random.SeedSequence([1, 0x6B]))
+    media = [medium_sample(IID_GAUSSIAN, 6, rng) for _ in range(5)]
+    for beta, row in zip(params["betas"], report["rows"]):
+        bounds = [gamma_f_bound_check(medium, beta) for medium in media]
+        tightest = min(bounds, key=lambda b: b.rhs * (1.0 + 1e-12) + 1e-300 - b.lhs)
+        assert (row["lhs"], row["rhs"], row["verdict"]) == (tightest.lhs, tightest.rhs, True)
+        assert row["rule"] == "pass when lhs <= rhs (1 + 1e-12) + 1e-300"
+        if beta > 0:
+            assert 0.0 < row["lhs"] < row["rhs"]
 
 
 def test_ibp_check_accepts_exactly_centered_chaos_forms():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wienergamma.cli import lower, upper
+from wienergamma.cli import lower, run_slepian, run_sudakov, upper
 from wienergamma.comparison import (
     BlockOverlapError,
     FieldPair,
@@ -15,6 +15,7 @@ from wienergamma.comparison import (
     default_t_grid,
     exp_linear_function,
     expected_max,
+    expected_value,
     h_weights,
     log_sum_exp_function,
     operator_norm,
@@ -22,10 +23,8 @@ from wienergamma.comparison import (
     quadratic_function,
     sf_phi_prime,
     sf_phi_value,
-    slepian_experiment,
     slepian_phi_prime,
     softmax_sup,
-    sudakov_fernique_experiment,
     validate_perturbation,
 )
 from wienergamma.core import (
@@ -36,10 +35,6 @@ from wienergamma.core import (
     w,
 )
 from wienergamma.engine import MehlerConfig
-
-
-def all_phi_prime_rows_pass(bound, report) -> bool:
-    return all(bound("phi'", r.value, 0.0, r.std_error).verdict for r in report.rows)
 
 
 def psd_passed(res) -> bool:
@@ -170,29 +165,31 @@ class TestSfPhiPrime:
 
 class TestSudakovExperiment:
     def test_gaussian_domination(self):
-        d = 4
-        pair = build_gaussian_pair(np.eye(d), 2.25 * np.eye(d))
-        report = sudakov_fernique_experiment(
-            pair, betas=(1.0, 4.0), t_grid=default_t_grid(7),
-            cfg=MehlerConfig(seed=7), n_outer=2_000, n_sup=30_000, seed=3)
-        assert all_phi_prime_rows_pass(upper, report)
-        assert upper("max", report.e_max_f.value, report.e_max_g.value,
-                     math.hypot(report.e_max_f.std_error,
-                                report.e_max_g.std_error)).verdict
-        assert report.sandwich_gaps[4.0] == pytest.approx(math.log(d) / 4.0)
+        # F = N(0, I_4) against G = N(0, 1.5^2 I_4).
+        rows = run_sudakov({"d": 4, "sigma_f": 1.0, "sigma_g": 1.5, "betas": (1.0, 4.0),
+                            "t_points": 7, "n_outer": 2_000, "n_sup": 30_000},
+                           seed=3, workers=1, cfg=MehlerConfig(seed=7))
+        by_name = {r.name: r for r in rows}
+        phi_rows = [r for r in rows if "/phi-prime/" in r.name]
+        assert len(phi_rows) == 2 * 7
+        assert all(r.verdict for r in phi_rows)
+        max_row = by_name["sudakov/max-comparison"]
+        assert max_row.verdict
         # E max of iid N(0, 1) on 4 points is strictly below the N(0, 1.5^2) one.
-        assert report.e_max_f.value < report.e_max_g.value
+        assert max_row.lhs < max_row.rhs
 
     def test_identical_laws_give_equal_maxima(self):
         cov = np.array([[1.0, 0.3], [0.3, 1.0]])
         pair = build_gaussian_pair(cov, cov)
-        report = sudakov_fernique_experiment(
-            pair, betas=(2.0,), t_grid=default_t_grid(5),
-            cfg=MehlerConfig(seed=33), n_outer=1_000, n_sup=40_000, seed=6)
-        gap = abs(report.e_max_f.value - report.e_max_g.value)
-        se = math.hypot(report.e_max_f.std_error, report.e_max_g.std_error)
+        seed, cfg = 6, MehlerConfig(seed=33)
+        e_f = expected_max(pair.f, 40_000, seed=seed + 1)
+        e_g = expected_max(pair.g, 40_000, seed=seed + 2)
+        gap = abs(e_f.value - e_g.value)
+        se = math.hypot(e_f.std_error, e_g.std_error)
         assert gap <= 3.0 * se
-        assert all_phi_prime_rows_pass(upper, report)  # phi' is exactly zero here
+        for ti, t in enumerate(default_t_grid(5)):  # phi' is exactly zero here
+            est = sf_phi_prime(pair, float(t), 2.0, cfg, 1_000, seed=seed + 104729 * ti)
+            assert upper("phi'", est.value, 0.0, est.std_error).verdict
 
     def test_additive_independent_noise_baseline(self):
         # With H independent of F and centered, E max(F + H) >= E max F.
@@ -237,19 +234,18 @@ class TestSlepian:
         c = np.array([[1.0, 0.1], [0.1, 1.0]])
         v = np.array([0.8, 0.6])
         b = c + np.outer(v, v)
+        rows = run_slepian({"d": 2, "cov_g": c.tolist(), "bump": v.tolist(), "t_points": 5,
+                            "n_outer": 2_000, "n_value": 100_000},
+                           seed=4, workers=1, cfg=MehlerConfig(seed=14))
+        assert len(rows) == 5 + 1
+        assert all(r.verdict for r in rows)  # phi' rows and the functional comparison
+        # E f(F) = ones' B ones / 2 exactly for the quadratic form; the runner
+        # draws it with seed + 3.
         pair = build_gaussian_pair(b, c)
-        fn = quadratic_function(np.ones((2, 2)))
-        report = slepian_experiment(pair, fn, t_grid=default_t_grid(5),
-                                    cfg=MehlerConfig(seed=14), n_outer=2_000,
-                                    n_value=100_000, seed=4)
-        assert all_phi_prime_rows_pass(lower, report)
-        assert lower("functional", report.e_f_of_f.value, report.e_f_of_g.value,
-                     math.hypot(report.e_f_of_f.std_error,
-                                report.e_f_of_g.std_error)).verdict
-        # E f(F) = ones' B ones / 2 exactly for the quadratic form.
+        e_f = expected_value(pair.f, quadratic_function(np.ones((2, 2))), 100_000, seed=7)
+        assert rows[-1].lhs == e_f.value
         exact_f = 0.5 * float(np.sum(b))
-        assert report.e_f_of_f.value == pytest.approx(
-            exact_f, abs=4.0 * report.e_f_of_f.std_error)
+        assert e_f.value == pytest.approx(exact_f, abs=4.0 * e_f.std_error)
 
     def test_equal_law_chaos_fields_general_path(self):
         # Non-affine fields force the Monte Carlo Gamma-matrix route; equal

@@ -36,12 +36,13 @@ class ScalarMoments(RunningMoments):
         self._m2 += delta * (x - self.mean)
 
 
-def ibp_passed(res) -> bool:
-    return close("ibp", res.lhs, res.rhs, res.std_error).verdict
+def ibp_passed(lhs, rhs) -> bool:
+    return close("ibp", lhs.value, rhs.value, math.hypot(lhs.std_error, rhs.std_error)).verdict
 
 
-def poincare_passed(res) -> bool:
-    return upper("poincare", res.lhs, res.rhs, res.std_error).verdict
+def poincare_passed(lhs, rhs) -> bool:
+    return upper("poincare", lhs.value, rhs.value,
+                 math.hypot(lhs.std_error, rhs.std_error)).verdict
 
 
 class TestRunningMoments:
@@ -219,26 +220,26 @@ class TestCapitalDelta:
 class TestIbp:
     def test_identity_first_chaos(self, space4):
         f = Functional(space4, w(0))
-        res = ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, f,
-                           n_outer=20_000, cfg=MehlerConfig(seed=11))
-        assert res.rhs == pytest.approx(1.0, abs=1e-12)  # Gamma == 1 exactly
-        assert res.lhs == pytest.approx(1.0, abs=4 * res.lhs_std_error)
-        assert ibp_passed(res)
+        lhs, rhs = ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, f,
+                                n_outer=20_000, cfg=MehlerConfig(seed=11))
+        assert rhs.value == pytest.approx(1.0, abs=1e-12)  # Gamma == 1 exactly
+        assert lhs.value == pytest.approx(1.0, abs=4 * lhs.std_error)
+        assert ibp_passed(lhs, rhs)
 
     def test_identity_h2(self, space4):
         f = Functional(space4, Hermite(2, w(0)))
-        res = ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, f,
-                           n_outer=20_000, cfg=MehlerConfig(seed=12))
-        assert res.lhs == pytest.approx(2.0, abs=4 * res.lhs_std_error)
-        assert res.rhs == pytest.approx(2.0, abs=4 * res.rhs_std_error)
-        assert ibp_passed(res)
+        lhs, rhs = ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, f,
+                                n_outer=20_000, cfg=MehlerConfig(seed=12))
+        assert lhs.value == pytest.approx(2.0, abs=4 * lhs.std_error)
+        assert rhs.value == pytest.approx(2.0, abs=4 * rhs.std_error)
+        assert ibp_passed(lhs, rhs)
 
     def test_square_odd_moment(self, space4):
         f = Functional(space4, w(0))
-        res = ibp_residual(lambda x: x**2, lambda x: 2.0 * x, f, f,
-                           n_outer=20_000, cfg=MehlerConfig(seed=13))
-        assert res.lhs == pytest.approx(0.0, abs=4 * res.lhs_std_error)
-        assert ibp_passed(res)
+        lhs, rhs = ibp_residual(lambda x: x**2, lambda x: 2.0 * x, f, f,
+                                n_outer=20_000, cfg=MehlerConfig(seed=13))
+        assert lhs.value == pytest.approx(0.0, abs=4 * lhs.std_error)
+        assert ibp_passed(lhs, rhs)
 
     def test_noncentered_rejected(self, space4):
         f = Functional(space4, w(0))
@@ -260,24 +261,24 @@ class TestIbp:
 class TestPoincare:
     def test_p2_first_chaos_equality(self, space4):
         f = Functional(space4, w(0))
-        res = poincare_check(f, p=2.0, n_outer=400_000, cfg=MehlerConfig(seed=15))
-        assert res.rhs == pytest.approx(1.0, abs=1e-12)
-        assert abs(res.lhs - res.rhs) < 0.01
-        assert poincare_passed(res)
+        lhs, rhs = poincare_check(f, p=2.0, n_outer=400_000, cfg=MehlerConfig(seed=15))
+        assert rhs.value == pytest.approx(1.0, abs=1e-12)
+        assert abs(lhs.value - rhs.value) < 0.01
+        assert poincare_passed(lhs, rhs)
 
     def test_p4_first_chaos(self, space4):
         f = Functional(space4, w(0))
-        res = poincare_check(f, p=4.0, n_outer=50_000, cfg=MehlerConfig(seed=16))
-        assert res.rhs == pytest.approx(9.0, abs=1e-10)
-        assert res.lhs == pytest.approx(3.0, abs=4 * res.lhs_std_error)
-        assert poincare_passed(res)
+        lhs, rhs = poincare_check(f, p=4.0, n_outer=50_000, cfg=MehlerConfig(seed=16))
+        assert rhs.value == pytest.approx(9.0, abs=1e-10)
+        assert lhs.value == pytest.approx(3.0, abs=4 * lhs.std_error)
+        assert poincare_passed(lhs, rhs)
 
     def test_p2_h2(self, space4):
         f = Functional(space4, Hermite(2, w(0)))
-        res = poincare_check(f, p=2.0, n_outer=50_000, cfg=MehlerConfig(seed=17))
-        assert res.lhs == pytest.approx(2.0, abs=4 * res.lhs_std_error)
-        assert res.rhs == pytest.approx(2.0, abs=4 * res.rhs_std_error)
-        assert poincare_passed(res)
+        lhs, rhs = poincare_check(f, p=2.0, n_outer=50_000, cfg=MehlerConfig(seed=17))
+        assert lhs.value == pytest.approx(2.0, abs=4 * lhs.std_error)
+        assert rhs.value == pytest.approx(2.0, abs=4 * rhs.std_error)
+        assert poincare_passed(lhs, rhs)
 
     def test_p_below_two_rejected(self, space4):
         f = Functional(space4, w(0))

@@ -200,9 +200,8 @@ class TestDeltaFbm:
             est = delta_fbm(grid, ZERO_DRIFT, s_idx, t_idx,
                             cfg=MehlerConfig(seed=16, quad_nodes=8), n_outer=8)
             assert est.std_error <= 1e-10
-            assert est.value == pytest.approx(est.reference, rel=1e-10)
             gap = grid.times[t_idx] - grid.times[s_idx]
-            assert est.reference == pytest.approx(gap**1.4)
+            assert est.value == pytest.approx(gap**1.4, rel=1e-10)
 
     def test_equal_indices_give_zero(self):
         grid = uniform_grid(0.7, 1.0, 16)
@@ -216,7 +215,8 @@ class TestDeltaFbm:
             est = delta_fbm(grid, TANH_DRIFT, s_idx, t_idx,
                             cfg=MehlerConfig(seed=18, quad_nodes=16),
                             n_outer=300)
-            assert est.value >= est.reference - 3.0 * est.std_error
+            gap = grid.times[t_idx] - grid.times[s_idx]
+            assert est.value >= gap**1.4 - 3.0 * est.std_error
 
     def test_workers_deterministic(self):
         grid = uniform_grid(0.7, 1.0, 32)
@@ -269,21 +269,21 @@ class TestDeltaAgainstClosedForms:
 class TestSupComparison:
     def test_zero_drift_equal_within_errors(self):
         grid = uniform_grid(0.7, 1.0, 64)
-        report = sup_comparison(grid, ZERO_DRIFT, n_paths=20_000, seed=20)
-        gap = report.e_max_centered_sde - report.e_max_fbm
-        assert abs(gap) <= 3.0 * report.combined_se + 0.01
+        sde, driving = sup_comparison(grid, ZERO_DRIFT, n_paths=20_000, seed=20)
+        gap = sde.value - driving.value
+        assert abs(gap) <= 3.0 * math.hypot(sde.std_error, driving.std_error) + 0.01
 
     def test_increasing_drift(self):
         grid = uniform_grid(0.7, 1.0, 64)
-        report = sup_comparison(grid, TANH_DRIFT, n_paths=30_000, seed=21)
-        assert lower("sup", report.e_max_centered_sde, report.e_max_fbm,
-                     report.combined_se).verdict
+        sde, driving = sup_comparison(grid, TANH_DRIFT, n_paths=30_000, seed=21)
+        assert lower("sup", sde.value, driving.value,
+                     math.hypot(sde.std_error, driving.std_error)).verdict
 
     def test_decreasing_drift_reverses(self):
         grid = uniform_grid(0.7, 1.0, 64)
-        report = sup_comparison(grid, NEG_TANH_DRIFT, n_paths=30_000, seed=22)
-        assert upper("sup", report.e_max_centered_sde, report.e_max_fbm,
-                     report.combined_se).verdict
+        sde, driving = sup_comparison(grid, NEG_TANH_DRIFT, n_paths=30_000, seed=22)
+        assert upper("sup", sde.value, driving.value,
+                     math.hypot(sde.std_error, driving.std_error)).verdict
 
     def test_grid_refinement_within_band(self):
         # Doubling the grid changes E[max B^H] by less than the 3-SE band.
