@@ -73,7 +73,6 @@ from .sk import (
     free_energy_exact,
     gamma_f_bound_check,
     generic_bound_check,
-    gibbs_expectation,
     hamiltonian,
     medium_sample,
 )

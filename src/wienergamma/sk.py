@@ -7,11 +7,14 @@ random coupling matrix J (zero diagonal) is
 
 and the free energy is (1/N) log Z with Z = 2^{-N} sum_sigma exp(-beta H).
 
-Exact enumeration walks the configurations in Gray-code order (one spin flip
-per step, O(N) work each).  The scalar walk keeps the pair sum in an exact
-floating-point expansion so every visited energy equals the from-scratch
-correctly rounded value bit for bit; the batch walk trades that for plain
-float updates and vectorizes one flip across many media at once.
+The scalar oracle walks the configurations in Gray-code order (one spin flip
+per step, O(N) work each) and keeps the pair sum in an exact floating-point
+expansion, so every visited energy equals the from-scratch correctly rounded
+value bit for bit.  The batch path trades that for plain float sums: it splits
+the spins into halves A and B, so each energy is Q_A + Q_B plus the cross term
+sigma_A J_AB sigma_B, and a chunk of media costs one batched matmul and one
+log-sum-exp per medium.  Since H(sigma) = H(-sigma), B's top spin is fixed to
++1 and the half sum is doubled.
 
 Media families carry their per-entry Gamma data analytically: for Gaussian
 entries Gamma is the (deterministic) covariance, and for the normalized
@@ -21,6 +24,7 @@ underlying Gaussians.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +35,7 @@ from .engine import Estimate
 
 MAX_EXACT_SPINS = 24
 MAX_GIBBS_SPINS = 20
-MAX_PAIR_SPINS = 8
+ENERGY_CHUNK = 2**16  # energy cells per media chunk of free_energy_batch
 
 
 def coupling_scale(n: int) -> float:
@@ -54,14 +58,8 @@ def hamiltonian(sigma: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gray-code enumeration
+# Exact enumeration
 # ---------------------------------------------------------------------------
-
-def gray_flip_positions(n: int) -> np.ndarray:
-    """Bit flipped at each step of the 2^n Gray walk (steps 1 .. 2^n - 1)."""
-    idx = np.arange(1, 2**n, dtype=np.int64)
-    return np.log2(idx & -idx).astype(np.int64)
-
 
 def all_configurations(n: int) -> np.ndarray:
     """Sign matrix (2^n, n) in Gray order; bit 0 of the code means spin +1."""
@@ -69,6 +67,15 @@ def all_configurations(n: int) -> np.ndarray:
     codes = idx ^ (idx >> 1)
     bits = (codes[:, None] >> np.arange(n)[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
+
+
+@functools.lru_cache(maxsize=8)
+def _signs(n: int) -> np.ndarray:
+    """Read-only float copy of ``all_configurations(n)``; its first half is
+    the configurations whose top spin is +1."""
+    signs = all_configurations(n).astype(float)
+    signs.setflags(write=False)
+    return signs
 
 
 def _grow_expansion(partials: list, x: float):
@@ -175,40 +182,37 @@ def free_energy_reference(coupling: np.ndarray, beta: float) -> FreeEnergyResult
 
 
 def free_energy_batch(couplings: np.ndarray, beta: float) -> np.ndarray:
-    """(1/N) log Z for a stack of media (B, N, N), one vectorized Gray walk.
+    """(1/N) log Z for a stack of media (B, N, N) by a block split.
 
-    Plain float incremental energies (no exact expansion); agrees with
-    ``free_energy_exact`` to near machine precision and is the workhorse for
-    experiment grids.
+    The first a = N - N//2 spins form half A and the rest half B, so every
+    energy is Q_A(sigma_A) + Q_B(sigma_B) + sigma_A J_AB sigma_B^T: each half's
+    quadratic form over its sign table, plus one batched matmul for the cross
+    term.  By the flip symmetry only B's configurations with top spin +1 are
+    enumerated and the sum is doubled (B is empty for N = 1).  Each medium
+    then takes one max-shifted log-sum-exp.  Plain float sums, no exact
+    expansion: agrees with ``free_energy_exact`` to near machine precision
+    and is the workhorse for experiment grids.
     """
     couplings = np.asarray(couplings, dtype=float)
     n = couplings.shape[-1]
     if n > MAX_EXACT_SPINS:
         raise ValueError(f"enumeration is limited to N <= {MAX_EXACT_SPINS}")
-    n_media = couplings.shape[0]
-    scale = coupling_scale(n)
-    sigma = np.ones(n)
-    field = couplings @ sigma  # (B, N): row sums at the all-plus configuration
-    quad = 0.5 * field @ sigma  # sum_{i>j} J_ij
-
-    flips = gray_flip_positions(n)
-    x = -beta * scale * quad
-    running_max = x.copy()
-    running_sum = np.ones(n_media)
-    for k in flips:
-        sk = sigma[k]
-        quad = quad - 2.0 * sk * field[:, k]
-        field = field - (2.0 * sk) * couplings[:, :, k]
-        sigma[k] = -sk
-        x = -beta * scale * quad
-        above = x > running_max
-        running_sum = np.where(
-            above,
-            running_sum * np.exp(np.minimum(running_max - x, 0.0)) + 1.0,
-            running_sum + np.exp(np.minimum(x - running_max, 0.0)),
-        )
-        running_max = np.maximum(running_max, x)
-    return (running_max + np.log(running_sum) - n * math.log(2.0)) / n
+    a, b = n - n // 2, n // 2
+    s_a = _signs(a)
+    s_b = _signs(b)[:(2**b + 1) // 2]  # top spin +1; B's one empty row if b = 0
+    offset = math.log(2**b // len(s_b)) - n * math.log(2.0)
+    step = max(1, ENERGY_CHUNK // (len(s_a) * len(s_b)))
+    result = np.empty(len(couplings))
+    for lo in range(0, len(result), step):
+        j = (-beta / math.sqrt(2.0 * n)) * couplings[lo:lo + step]
+        x = (s_a @ (2.0 * j[:, :a, a:])) @ s_b.T
+        x += np.einsum("si,csi->cs", s_a, s_a @ j[:, :a, :a])[:, :, None]
+        x += np.einsum("ti,cti->ct", s_b, s_b @ j[:, a:, a:])[:, None, :]
+        peak = x.max(axis=(1, 2))
+        x -= peak[:, None, None]
+        np.exp(x, out=x)
+        result[lo:lo + step] = (peak + np.log(x.sum(axis=(1, 2))) + offset) / n
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +224,8 @@ def gibbs_weights(coupling: np.ndarray, beta: float):
     n = coupling.shape[0]
     if n > MAX_GIBBS_SPINS:
         raise ValueError(f"exact Gibbs averages are limited to N <= {MAX_GIBBS_SPINS}")
-    signs = all_configurations(n).astype(float)
-    energies = hamiltonian(signs, coupling)
+    signs = _signs(n)
+    energies = ((signs @ coupling) * signs).sum(axis=1) / math.sqrt(2.0 * n)
     logits = -beta * energies
     logits -= np.max(logits)
     weights = np.exp(logits)
@@ -229,30 +233,10 @@ def gibbs_weights(coupling: np.ndarray, beta: float):
     return signs, weights
 
 
-def gibbs_expectation(coupling: np.ndarray, beta: float, observable) -> float:
-    """Exact Gibbs average of ``observable(signs) -> (2^N,)`` values."""
-    signs, weights = gibbs_weights(coupling, beta)
-    return float(weights @ np.asarray(observable(signs), dtype=float))
-
-
 def spin_correlations(coupling: np.ndarray, beta: float) -> np.ndarray:
     """Matrix of two-point functions <sigma_i sigma_j> under the Gibbs law."""
     signs, weights = gibbs_weights(coupling, beta)
     return (signs * weights[:, None]).T @ signs
-
-
-def gibbs_pair_expectation(coupling: np.ndarray, beta: float, observable) -> float:
-    """Average of ``observable(sigma, sigma_tilde)`` over two independent
-    copies under the same Gibbs law (brute force; N <= 8)."""
-    n = coupling.shape[0]
-    if n > MAX_PAIR_SPINS:
-        raise ValueError(f"pair enumeration is limited to N <= {MAX_PAIR_SPINS}")
-    signs, weights = gibbs_weights(coupling, beta)
-    total = 0.0
-    for a in range(len(signs)):
-        for b in range(len(signs)):
-            total += weights[a] * weights[b] * observable(signs[a], signs[b])
-    return total
 
 
 # ---------------------------------------------------------------------------

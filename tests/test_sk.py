@@ -8,6 +8,7 @@ from wienergamma.chaos import form, gamma_oracle
 from wienergamma.cli import upper
 from wienergamma.core import build_space
 from wienergamma.sk import (
+    ENERGY_CHUNK,
     IID_GAUSSIAN,
     chaos2_abs_gamma_gap,
     clt_chaos2,
@@ -20,8 +21,7 @@ from wienergamma.sk import (
     free_energy_reference,
     gamma_f_bound_check,
     generic_bound_check,
-    gibbs_expectation,
-    gibbs_pair_expectation,
+    gibbs_weights,
     hamiltonian,
     medium_sample,
     paired_chaos2_gap,
@@ -32,6 +32,23 @@ from wienergamma.sk import (
 
 def random_coupling(n, rng):
     return medium_sample(IID_GAUSSIAN, n, rng).coupling
+
+
+def gibbs_expectation(coupling, beta, observable) -> float:
+    """Exact Gibbs average of ``observable(signs) -> (2^N,)`` values."""
+    signs, weights = gibbs_weights(coupling, beta)
+    return float(weights @ np.asarray(observable(signs), dtype=float))
+
+
+def gibbs_pair_expectation(coupling, beta, observable) -> float:
+    """Average of ``observable(sigma, sigma_tilde)`` over two independent
+    copies under the same Gibbs law (brute force, O(4^N))."""
+    signs, weights = gibbs_weights(coupling, beta)
+    total = 0.0
+    for a in range(len(signs)):
+        for b in range(len(signs)):
+            total += weights[a] * weights[b] * observable(signs[a], signs[b])
+    return total
 
 
 def gamma_bound_holds(res) -> bool:
@@ -93,9 +110,31 @@ class TestFreeEnergyExact:
             exact = free_energy_exact(js[k], 0.9).value
             assert batch[k] == pytest.approx(exact, abs=1e-11)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_block_split_matches_exact(self, n):
+        # N = 1 and 2 leave half B empty or a single spin; beta = 25 needs
+        # the max shift of the log-sum-exp.
+        j = random_coupling(n, np.random.default_rng(50 + n))
+        for beta in (0.0, 0.9, 25.0):
+            batch = free_energy_batch(j[None], beta)
+            exact = free_energy_exact(j, beta).value
+            assert batch[0] == pytest.approx(exact, abs=1e-11)
+
+    def test_media_chunk_boundary(self):
+        n = 10
+        per_chunk = ENERGY_CHUNK // 2 ** (n - 1)
+        rng = np.random.default_rng(51)
+        js = np.stack([random_coupling(n, rng) for _ in range(per_chunk + 1)])
+        exact = [free_energy_exact(j, 0.9).value for j in js]
+        for count in (1, per_chunk, per_chunk + 1):
+            batch = free_energy_batch(js[:count], 0.9)
+            assert batch == pytest.approx(exact[:count], abs=1e-11)
+
     def test_size_guard(self):
         with pytest.raises(ValueError, match="N <= 24"):
             free_energy_exact(np.zeros((25, 25)), 1.0)
+        with pytest.raises(ValueError, match="N <= 24"):
+            free_energy_batch(np.zeros((1, 25, 25)), 1.0)
 
 
 class TestGibbs:
