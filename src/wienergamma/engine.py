@@ -15,6 +15,11 @@ four callers differ only in ``term``: ``gamma_pointwise``,
 ``coupled_gamma_values``, ``minus_dl_gradient_estimates`` and
 ``fbm.delta_fbm``.
 
+Rows that share a seed -- several phi in ``ibp_residual``, several p in
+``poincare_check``, several (s, t) in ``fbm.delta_fbm`` -- share one Mehler
+pass.  That is bit-identical to one call per row: the seed draws the same
+points and copies, and each row's arithmetic on them is unchanged.
+
 Monte Carlo estimators return an ``Estimate`` (a mean and its standard
 error) or an (lhs, rhs) pair of them, and ``mean_estimate`` is the one fold
 from sample batches to an Estimate.
@@ -141,6 +146,9 @@ def inner_normals(rng: np.random.Generator, lead: tuple, per: int, dim: int,
 def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, term):
     """Gauss-Legendre sum over u of wt * term(mehler_shift(points, inner, u))."""
     nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
+    # One broadcast copy makes every node's shift flat; fl(u*p) is the same
+    # wherever p was broadcast.
+    points = np.ascontiguousarray(np.broadcast_to(points, inner.shape), dtype=float)
     total = 0.0
     for u, wt in zip(nodes, weights):
         # Kept in a local so the shifted copies stay allocated until the next
@@ -246,12 +254,13 @@ def require_centered(f, points: np.ndarray, what: str = "functional"):
         raise CenteringError(f"{what} is deterministic and nonzero: {mean:.4g}")
 
 
-def ibp_residual(phi, phi_prime, f, g, n_outer: int, cfg: MehlerConfig,
-                 seed: int | None = None) -> tuple[Estimate, Estimate]:
-    """Both sides of E[Phi(F) G] = E[Phi'(F) Gamma_{F,G}], as (lhs, rhs).
+def ibp_residual(phis, f, g, n_outer: int, cfg: MehlerConfig,
+                 seed: int | None = None) -> list[tuple[Estimate, Estimate]]:
+    """Both sides of E[Phi(F) G] = E[Phi'(F) Gamma_{F,G}], as one (lhs, rhs)
+    per (phi, phi_prime) in ``phis``.
 
-    G must be centered (see ``require_centered``).  Both sides are averaged
-    over the same fresh outer points.
+    G must be centered (see ``require_centered``).  All entries read one draw
+    of outer points and one Gamma pass, so each equals a one-entry call.
     """
     space = f.space
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -259,24 +268,28 @@ def ibp_residual(phi, phi_prime, f, g, n_outer: int, cfg: MehlerConfig,
     points = sample(space, rng, n_outer)
     require_centered(g, points, what="G")
 
-    f_vals = f.eval(points)
-    lhs = mean_estimate([np.asarray(phi(f_vals)) * g.eval(points)])
+    f_vals, g_vals = f.eval(points), g.eval(points)
     gamma_vals = coupled_gamma_values(f, g, points, cfg, rng)
-    return lhs, mean_estimate([np.asarray(phi_prime(f_vals)) * gamma_vals])
+    return [(mean_estimate([np.asarray(phi(f_vals)) * g_vals]),
+             mean_estimate([np.asarray(phi_prime(f_vals)) * gamma_vals]))
+            for phi, phi_prime in phis]
 
 
-def poincare_check(f, p: float, n_outer: int, cfg: MehlerConfig,
-                   seed: int | None = None) -> tuple[Estimate, Estimate]:
-    """Both sides of E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, p >= 2, as
-    (lhs, rhs)."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+def poincare_check(f, ps, n_outer: int, cfg: MehlerConfig,
+                   seed: int | None = None) -> list[tuple[Estimate, Estimate]]:
+    """Both sides of E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, as one
+    (lhs, rhs) per p >= 2 in ``ps``.  All p read one draw of outer points and
+    one Gamma pass, so each equals a one-p call."""
+    if any(p < 2 for p in ps):
+        raise ValueError(f"p must be >= 2, got {min(ps)}")
     space = f.space
     rng = np.random.default_rng(np.random.SeedSequence(
         [cfg.seed if seed is None else seed, 0x90C]))
     points = sample(space, rng, n_outer)
     require_centered(f, points, what="F")
 
-    lhs = mean_estimate([np.abs(f.eval(points)) ** p])
-    gamma_vals = coupled_gamma_values(f, f, points, cfg, rng)
-    return lhs, mean_estimate([(p - 1.0) ** (p / 2.0) * np.abs(gamma_vals) ** (p / 2.0)])
+    abs_f = np.abs(f.eval(points))
+    abs_gamma = np.abs(coupled_gamma_values(f, f, points, cfg, rng))
+    return [(mean_estimate([abs_f ** p]),
+             mean_estimate([(p - 1.0) ** (p / 2.0) * abs_gamma ** (p / 2.0)]))
+            for p in ps]

@@ -166,43 +166,50 @@ def _increment_derivative(cumulative: np.ndarray, t_idx: int) -> np.ndarray:
     return out
 
 
-def delta_fbm(grid: FbmGrid, drift: DriftSpec, s_idx: int, t_idx: int,
-              x0: float = 0.0, cfg: MehlerConfig = MehlerConfig(),
-              n_outer: int = 400, seed: int = 0, workers: int = 1) -> Estimate:
-    """Average of Delta_F(t_s, t_t) = Gamma_{F_t - F_s, F_t - F_s} over paths.
+def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
+              cfg: MehlerConfig = MehlerConfig(), n_outer: int = 400, seed: int = 0,
+              workers: int = 1) -> list[Estimate]:
+    """Average of Delta_F(t_s, t_t) = Gamma_{F_t - F_s, F_t - F_s} over paths,
+    one Estimate per (s_idx, t_idx) in ``pairs``.
 
     The inner expectation re-solves the SDE on Mehler-shifted coordinates (the
     coupled path u*xi + sqrt(1-u^2)*xi_hat) instead of transcribing the
     explicit double-time-integral form; the two agree by construction, and the
-    long-memory weights enter through the increment Gram matrix.
+    long-memory weights enter through the increment Gram matrix.  All pairs
+    share the outer paths, inner copies and Euler solves; only the gradient
+    projection repeats per pair, so each estimate equals a one-pair call.
     """
-    if not 0 <= s_idx <= t_idx <= grid.n_steps:
+    pairs = list(pairs)
+    if not all(0 <= s_idx <= t_idx <= grid.n_steps for s_idx, t_idx in pairs):
         raise ValueError(f"need 0 <= s_idx <= t_idx <= {grid.n_steps}")
     space = fbm_space(grid)
     times = grid.times
     per = inner_copies_per_point(cfg, n_outer)
 
-    def diff_gradient_whitened(xi):
+    def diff_gradients_whitened(xi):
+        """Per-pair gradients of F_t - F_s, chained through increments = L xi."""
         paths = paths_from_whitened(space, xi)
         values = euler_solve(x0, drift, paths, times)
         c = _cumulative_bprime(values, drift, times)
-        gy = _increment_derivative(c, t_idx) - _increment_derivative(c, s_idx)
-        return gy @ space.whitener  # chain rule through increments = L xi
+        return np.stack([(_increment_derivative(c, t_idx) - _increment_derivative(c, s_idx))
+                         @ space.whitener for s_idx, t_idx in pairs])
 
     def job(chunk, rng):
         xi = rng.standard_normal((chunk, space.dim))
-        base_grad = diff_gradient_whitened(xi)
+        base_grads = diff_gradients_whitened(xi)
         inner = inner_normals(rng, (chunk,), per, space.dim, cfg.antithetic)
 
         def term(shifted):
-            shifted_grad = diff_gradient_whitened(
+            shifted_grads = diff_gradients_whitened(
                 shifted.reshape(-1, space.dim)
-            ).reshape(chunk, per, space.dim)
-            return np.mean(np.einsum("crd,cd->cr", shifted_grad, base_grad), axis=1)
+            ).reshape(len(pairs), chunk, per, space.dim)
+            return np.stack([np.mean(np.einsum("crd,cd->cr", sg, bg), axis=1)
+                             for sg, bg in zip(shifted_grads, base_grads)])
 
         return mehler_integral(xi[:, None, :], inner, cfg, term)
 
-    return mean_estimate(run_chunked(n_outer, workers, seed, 0xFB1, job))
+    return [mean_estimate(batches)
+            for batches in zip(*run_chunked(n_outer, workers, seed, 0xFB1, job))]
 
 
 def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,

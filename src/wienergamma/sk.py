@@ -334,26 +334,34 @@ def _symmetrize(entries: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def medium_batch(family: MediumFamily, n: int, rng: np.random.Generator,
+                 k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Couplings and per-entry Gamma data of k media, each (k, N, N), drawn
+    in one call and bit-identical to k ``medium_sample`` calls.
+
+    The normals come in one block; the correlated family applies its factor
+    medium by medium, because one matrix product over the block rounds
+    differently from k matrix-vector products.
+    """
+    n_bar = n * (n - 1) // 2
+    if family.kind == "clt-chaos2":
+        m = family.resolve_m(n)
+        z = rng.standard_normal((k, n_bar, m))
+        entries = np.sum(z * z - 1.0, axis=-1) / math.sqrt(2.0 * m)
+        gamma = np.mean(z * z, axis=-1)
+    else:
+        entries = rng.standard_normal((k, n_bar))
+        if family.kind == "correlated-gaussian":
+            factor = _correlated_factor(n, family.r)
+            entries = np.stack([factor @ z for z in entries])
+        gamma = np.ones((k, n_bar))
+    return _symmetrize(entries, n), _symmetrize(gamma, n)
+
+
 def medium_sample(family: MediumFamily, n: int, rng: np.random.Generator) -> Medium:
     """Draw one medium with its per-entry Gamma data attached."""
-    n_bar = n * (n - 1) // 2
-    if family.kind == "iid-gaussian":
-        entries = rng.standard_normal(n_bar)
-        gamma = np.ones(n_bar)
-    elif family.kind == "correlated-gaussian":
-        entries = _correlated_factor(n, family.r) @ rng.standard_normal(n_bar)
-        gamma = np.ones(n_bar)
-    else:
-        m = family.resolve_m(n)
-        z = rng.standard_normal((n_bar, m))
-        entries = np.sum(z * z - 1.0, axis=1) / math.sqrt(2.0 * m)
-        gamma = np.mean(z * z, axis=1)
-    return Medium(
-        family=family,
-        n=n,
-        coupling=_symmetrize(entries, n),
-        gamma_diag=_symmetrize(gamma, n),
-    )
+    couplings, gammas = medium_batch(family, n, rng, 1)
+    return Medium(family=family, n=n, coupling=couplings[0], gamma_diag=gammas[0])
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +461,8 @@ def generic_bound_check(family: MediumFamily, n: int, beta: float,
 
     rng_star = np.random.default_rng(np.random.SeedSequence([seed, 0x5A, n]))
     rng_fam = np.random.default_rng(np.random.SeedSequence([seed, 0xFA, n]))
-    star = np.stack([
-        medium_sample(IID_GAUSSIAN, n, rng_star).coupling for _ in range(n_media)
-    ])
-    fam = np.stack([
-        medium_sample(family, n, rng_fam).coupling for _ in range(n_media)
-    ])
+    star, _ = medium_batch(IID_GAUSSIAN, n, rng_star, n_media)
+    fam, _ = medium_batch(family, n, rng_fam, n_media)
     f_star = f(free_energy_batch(star, beta))
     f_fam = f(free_energy_batch(fam, beta))
     lhs = Estimate(abs(float(np.mean(f_star) - np.mean(f_fam))), math.hypot(
@@ -564,11 +568,8 @@ def convergence_experiment(families, beta: float, ns, n_media: int,
     rows: list[ConvergenceRow] = []
     for n in ns:
         rng_star = np.random.default_rng(np.random.SeedSequence([seed, 0x57A, n]))
-        star_media = np.stack([
-            medium_sample(IID_GAUSSIAN, n, rng_star).coupling
-            for _ in range(n_media)
-        ])
-        star_vals = free_energy_batch(star_media, beta)
+        star_vals = free_energy_batch(medium_batch(IID_GAUSSIAN, n, rng_star, n_media)[0],
+                                      beta)
         star_mean = float(np.mean(star_vals))
         rows.append(ConvergenceRow(
             family_label="iid-gaussian*",
@@ -580,10 +581,7 @@ def convergence_experiment(families, beta: float, ns, n_media: int,
         for fam_index, family in enumerate(families):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, 0xFA2, n, fam_index]))
-            media = np.stack([
-                medium_sample(family, n, rng).coupling for _ in range(n_media)
-            ])
-            vals = free_energy_batch(media, beta)
+            vals = free_energy_batch(medium_batch(family, n, rng, n_media)[0], beta)
             rows.append(ConvergenceRow(
                 family_label=family.label(n),
                 n=n,

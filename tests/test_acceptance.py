@@ -188,7 +188,8 @@ class TestCriterion08Poincare:
     def test_p2_gaussian_near_equality(self):
         space = build_space(2)
         f = Functional(space, w(0))
-        lhs, rhs = poincare_check(f, 2.0, n_outer=400_000, cfg=DEFAULT_CFG, seed=110)
+        [(lhs, rhs)] = poincare_check(f, [2.0], n_outer=400_000, cfg=DEFAULT_CFG,
+                                      seed=110)
         gap = abs(lhs.value - rhs.value)
         row = upper("poincare/p=2", lhs.value, rhs.value,
                     math.hypot(lhs.std_error, rhs.std_error))

@@ -16,6 +16,7 @@ from wienergamma.engine import (
     gauss_legendre_unit,
     ibp_residual,
     inner_copies_per_point,
+    mehler_integral,
     mehler_shift,
     poincare_check,
 )
@@ -34,6 +35,10 @@ class ScalarMoments(RunningMoments):
         delta = x - self.mean
         self.mean += delta / self.count
         self._m2 += delta * (x - self.mean)
+
+
+IDENTITY = (lambda x: x, lambda x: np.ones_like(x))
+SQUARE = (lambda x: x**2, lambda x: 2.0 * x)
 
 
 def ibp_passed(lhs, rhs) -> bool:
@@ -90,6 +95,24 @@ class TestMehlerShift:
         sq = z**2
         se_var = np.std(sq, ddof=1) / math.sqrt(n)
         assert abs(np.mean(sq) - 1.0) < 3.0 * se_var
+
+
+class TestMehlerIntegral:
+    def test_point_broadcast_matches_per_node_shift(self):
+        # One (dim,) point against (per, dim) inner copies: the broadcast copy
+        # must give the same bits as shifting the point at every node.
+        rng = np.random.default_rng(4)
+        point, inner = rng.standard_normal(3), rng.standard_normal((10, 3))
+        cfg = MehlerConfig(quad_nodes=6)
+
+        def term(y):
+            return np.sin(y).sum(axis=-1)
+
+        nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
+        expected = 0.0
+        for u, wt in zip(nodes, weights):
+            expected += wt * term(mehler_shift(point, inner, u))
+        assert np.array_equal(mehler_integral(point, inner, cfg, term), expected)
 
 
 class TestGammaPointwise:
@@ -220,33 +243,42 @@ class TestCapitalDelta:
 class TestIbp:
     def test_identity_first_chaos(self, space4):
         f = Functional(space4, w(0))
-        lhs, rhs = ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, f,
-                                n_outer=20_000, cfg=MehlerConfig(seed=11))
+        [(lhs, rhs)] = ibp_residual([IDENTITY], f, f, n_outer=20_000,
+                                    cfg=MehlerConfig(seed=11))
         assert rhs.value == pytest.approx(1.0, abs=1e-12)  # Gamma == 1 exactly
         assert lhs.value == pytest.approx(1.0, abs=4 * lhs.std_error)
         assert ibp_passed(lhs, rhs)
 
     def test_identity_h2(self, space4):
         f = Functional(space4, Hermite(2, w(0)))
-        lhs, rhs = ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, f,
-                                n_outer=20_000, cfg=MehlerConfig(seed=12))
+        [(lhs, rhs)] = ibp_residual([IDENTITY], f, f, n_outer=20_000,
+                                    cfg=MehlerConfig(seed=12))
         assert lhs.value == pytest.approx(2.0, abs=4 * lhs.std_error)
         assert rhs.value == pytest.approx(2.0, abs=4 * rhs.std_error)
         assert ibp_passed(lhs, rhs)
 
     def test_square_odd_moment(self, space4):
         f = Functional(space4, w(0))
-        lhs, rhs = ibp_residual(lambda x: x**2, lambda x: 2.0 * x, f, f,
-                                n_outer=20_000, cfg=MehlerConfig(seed=13))
+        [(lhs, rhs)] = ibp_residual([SQUARE], f, f, n_outer=20_000,
+                                    cfg=MehlerConfig(seed=13))
         assert lhs.value == pytest.approx(0.0, abs=4 * lhs.std_error)
         assert ibp_passed(lhs, rhs)
+
+    def test_phis_share_one_pass(self, space4):
+        f = Functional(space4, Hermite(2, w(0)) + w(1))
+        g = Functional(space4, w(0) * w(1))
+        tanh = (np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)
+        cfg = MehlerConfig(seed=21, quad_nodes=8, mc_samples=512)
+        shared = ibp_residual([SQUARE, tanh], f, g, n_outer=500, cfg=cfg, seed=5)
+        alone = [ibp_residual([phis], f, g, n_outer=500, cfg=cfg, seed=5)[0]
+                 for phis in (SQUARE, tanh)]
+        assert shared == alone
 
     def test_noncentered_rejected(self, space4):
         f = Functional(space4, w(0))
         g = Functional(space4, w(0) + 5.0)
         with pytest.raises(CenteringError):
-            ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, g,
-                         n_outer=5_000, cfg=MehlerConfig(seed=14))
+            ibp_residual([IDENTITY], f, g, n_outer=5_000, cfg=MehlerConfig(seed=14))
 
     def test_chaos_form_mean_checked_exactly(self, space4):
         # A shift of 0.01 is far inside 3 SE on 50 points; the exact mean
@@ -254,36 +286,43 @@ class TestIbp:
         f = form(space4, (1.0, ((0, 1),)))
         g = form(space4, (1.0, ((1, 2),)), (0.01, ()))
         with pytest.raises(CenteringError, match="exact mean"):
-            ibp_residual(lambda x: x, lambda x: np.ones_like(x), f, g,
-                         n_outer=50, cfg=MehlerConfig(seed=14))
+            ibp_residual([IDENTITY], f, g, n_outer=50, cfg=MehlerConfig(seed=14))
 
 
 class TestPoincare:
     def test_p2_first_chaos_equality(self, space4):
         f = Functional(space4, w(0))
-        lhs, rhs = poincare_check(f, p=2.0, n_outer=400_000, cfg=MehlerConfig(seed=15))
+        [(lhs, rhs)] = poincare_check(f, [2.0], n_outer=400_000, cfg=MehlerConfig(seed=15))
         assert rhs.value == pytest.approx(1.0, abs=1e-12)
         assert abs(lhs.value - rhs.value) < 0.01
         assert poincare_passed(lhs, rhs)
 
     def test_p4_first_chaos(self, space4):
         f = Functional(space4, w(0))
-        lhs, rhs = poincare_check(f, p=4.0, n_outer=50_000, cfg=MehlerConfig(seed=16))
+        [(lhs, rhs)] = poincare_check(f, [4.0], n_outer=50_000, cfg=MehlerConfig(seed=16))
         assert rhs.value == pytest.approx(9.0, abs=1e-10)
         assert lhs.value == pytest.approx(3.0, abs=4 * lhs.std_error)
         assert poincare_passed(lhs, rhs)
 
     def test_p2_h2(self, space4):
         f = Functional(space4, Hermite(2, w(0)))
-        lhs, rhs = poincare_check(f, p=2.0, n_outer=50_000, cfg=MehlerConfig(seed=17))
+        [(lhs, rhs)] = poincare_check(f, [2.0], n_outer=50_000, cfg=MehlerConfig(seed=17))
         assert lhs.value == pytest.approx(2.0, abs=4 * lhs.std_error)
         assert rhs.value == pytest.approx(2.0, abs=4 * rhs.std_error)
         assert poincare_passed(lhs, rhs)
 
+    def test_ps_share_one_pass(self, space4):
+        f = Functional(space4, Hermite(3, w(0)) + w(2))
+        cfg = MehlerConfig(seed=22, quad_nodes=8, mc_samples=512)
+        shared = poincare_check(f, [2.0, 3.0, 4.0], n_outer=500, cfg=cfg, seed=6)
+        alone = [poincare_check(f, [p], n_outer=500, cfg=cfg, seed=6)[0]
+                 for p in (2.0, 3.0, 4.0)]
+        assert shared == alone
+
     def test_p_below_two_rejected(self, space4):
         f = Functional(space4, w(0))
         with pytest.raises(ValueError):
-            poincare_check(f, p=1.5, n_outer=100, cfg=MehlerConfig(seed=18))
+            poincare_check(f, [2.0, 1.5], n_outer=100, cfg=MehlerConfig(seed=18))
 
 
 class TestConfig:

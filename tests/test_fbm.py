@@ -197,33 +197,49 @@ class TestDeltaFbm:
     def test_zero_drift_reproduces_power_law(self):
         grid = uniform_grid(0.7, 1.0, 64)
         for s_idx, t_idx in ((0, 64), (16, 48), (32, 40)):
-            est = delta_fbm(grid, ZERO_DRIFT, s_idx, t_idx,
-                            cfg=MehlerConfig(seed=16, quad_nodes=8), n_outer=8)
+            [est] = delta_fbm(grid, ZERO_DRIFT, [(s_idx, t_idx)],
+                              cfg=MehlerConfig(seed=16, quad_nodes=8), n_outer=8)
             assert est.std_error <= 1e-10
             gap = grid.times[t_idx] - grid.times[s_idx]
             assert est.value == pytest.approx(gap**1.4, rel=1e-10)
 
     def test_equal_indices_give_zero(self):
         grid = uniform_grid(0.7, 1.0, 16)
-        est = delta_fbm(grid, TANH_DRIFT, 5, 5, cfg=MehlerConfig(seed=17),
-                        n_outer=4)
+        [est] = delta_fbm(grid, TANH_DRIFT, [(5, 5)], cfg=MehlerConfig(seed=17),
+                          n_outer=4)
         assert est.value == 0.0
 
     def test_increasing_drift_dominates_reference(self):
         grid = uniform_grid(0.7, 1.0, 64)
         for s_idx, t_idx in ((8, 40), (0, 64)):
-            est = delta_fbm(grid, TANH_DRIFT, s_idx, t_idx,
-                            cfg=MehlerConfig(seed=18, quad_nodes=16),
-                            n_outer=300)
+            [est] = delta_fbm(grid, TANH_DRIFT, [(s_idx, t_idx)],
+                              cfg=MehlerConfig(seed=18, quad_nodes=16),
+                              n_outer=300)
             gap = grid.times[t_idx] - grid.times[s_idx]
             assert est.value >= gap**1.4 - 3.0 * est.std_error
 
     def test_workers_deterministic(self):
         grid = uniform_grid(0.7, 1.0, 32)
         cfg = MehlerConfig(seed=19, quad_nodes=8)
-        a = delta_fbm(grid, TANH_DRIFT, 4, 20, cfg=cfg, n_outer=64, workers=2)
-        b = delta_fbm(grid, TANH_DRIFT, 4, 20, cfg=cfg, n_outer=64, workers=2)
+        [a] = delta_fbm(grid, TANH_DRIFT, [(4, 20)], cfg=cfg, n_outer=64, workers=2)
+        [b] = delta_fbm(grid, TANH_DRIFT, [(4, 20)], cfg=cfg, n_outer=64, workers=2)
         assert a.value == b.value and a.std_error == b.std_error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pairs_share_one_pass(self, workers):
+        grid = uniform_grid(0.7, 1.0, 32)
+        cfg = MehlerConfig(seed=20, quad_nodes=8, mc_samples=256)
+        pairs = [(4, 20), (0, 32), (10, 12)]
+        shared = delta_fbm(grid, TANH_DRIFT, pairs, cfg=cfg, n_outer=16, seed=3,
+                           workers=workers)
+        alone = [delta_fbm(grid, TANH_DRIFT, [pair], cfg=cfg, n_outer=16, seed=3,
+                           workers=workers)[0] for pair in pairs]
+        assert shared == alone
+
+    def test_bad_pair_rejected(self):
+        grid = uniform_grid(0.7, 1.0, 8)
+        with pytest.raises(ValueError):
+            delta_fbm(grid, TANH_DRIFT, [(0, 8), (5, 4)], n_outer=2)
 
 
 class TestDeltaAgainstClosedForms:
@@ -260,8 +276,8 @@ class TestDeltaAgainstClosedForms:
 
         a = euler_coeffs(t_idx) - euler_coeffs(s_idx)
         exact = float(a @ increment_gram(grid) @ a)
-        est = delta_fbm(grid, drift, s_idx, t_idx,
-                        cfg=MehlerConfig(seed=31, quad_nodes=8), n_outer=8)
+        [est] = delta_fbm(grid, drift, [(s_idx, t_idx)],
+                          cfg=MehlerConfig(seed=31, quad_nodes=8), n_outer=8)
         assert est.std_error <= 1e-9  # affine functional: deterministic
         assert est.value == pytest.approx(exact, rel=0.01)
 

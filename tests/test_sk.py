@@ -23,6 +23,7 @@ from wienergamma.sk import (
     generic_bound_check,
     gibbs_weights,
     hamiltonian,
+    medium_batch,
     medium_sample,
     paired_chaos2_gap,
     spin_correlations,
@@ -183,6 +184,16 @@ class TestMediumFamilies:
         assert np.all(gammas > 0)
         # Gamma has mean one per entry.
         assert np.mean(gammas) == pytest.approx(1.0, abs=0.5)
+
+    @pytest.mark.parametrize("family", [IID_GAUSSIAN, clt_chaos2(3), clt_chaos2("N"),
+                                        correlated_gaussian(3.0)])
+    def test_batch_matches_single_draws(self, family):
+        batch_rng, single_rng = np.random.default_rng(14), np.random.default_rng(14)
+        couplings, gammas = medium_batch(family, 6, batch_rng, 5)
+        for coupling, gamma_diag in zip(couplings, gammas):
+            med = medium_sample(family, 6, single_rng)
+            assert np.array_equal(coupling, med.coupling)
+            assert np.array_equal(gamma_diag, med.gamma_diag)
 
     def test_chaos2_entry_variance_is_one(self):
         rng = np.random.default_rng(12)
