@@ -212,6 +212,11 @@ class Experiment(NamedTuple):
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
+def _no_checks(command: str, params: dict) -> ValueError:
+    """The error for a config that leaves its command no row to check."""
+    return ValueError(f"{command} has no checks to run for params {params}")
+
+
 def experiment(name: str, description: str, theory: str, **params):
     """Register a runner under ``name`` with its params and their defaults.
 
@@ -263,6 +268,8 @@ def run_ibp_check(params, seed, workers, cfg):
     phis = params["phi"]
     if isinstance(phis, str):
         phis = [phis]
+    if not phis:
+        raise _no_checks("ibp-check", params)
     rows = []
     if params["f_expr"] is not None:
         dim = params["dim"]
@@ -299,6 +306,8 @@ POINCARE_SUITE = (
 def run_poincare(params, seed, workers, cfg):
     """Moment inequality E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, over the
     suite or over expr when it is set."""
+    if not params["p"]:
+        raise _no_checks("poincare", params)
     suite = POINCARE_SUITE if params["expr"] is None else [(params["expr"], params["dim"])]
     rows = []
     for fn_index, (text, dim) in enumerate(suite):
@@ -644,7 +653,7 @@ def _execute(command, params, seed, workers, cfg) -> dict:
     outcome = EXPERIMENTS[command].runner(params, seed, workers, cfg)
     rows, tables = outcome if isinstance(outcome, tuple) else (outcome, {})
     if not rows:
-        raise ValueError(f"{command} has no checks to run for params {params}")
+        raise _no_checks(command, params)
     return {
         "schema": 1,
         "tables": tables,

@@ -11,9 +11,17 @@ Gauss-Legendre; the inner expectation is Monte Carlo (optionally antithetic).
 
 ``mehler_integral`` is the single u-quadrature: it sums ``term`` over the
 Mehler-shifted inner copies, and ``inner_normals`` draws those copies.  Its
-four callers differ only in ``term``: ``gamma_pointwise``,
-``coupled_gamma_values``, ``minus_dl_gradient_estimates`` and
-``fbm.delta_fbm``.
+four callers differ in the points they shift, in how many copies they draw
+and in what ``term`` returns:
+
+* ``gamma_pointwise``: one point, ``mc_samples`` copies, one value per copy,
+  folded over antithetic pairs afterwards;
+* ``coupled_gamma_values``: many outer points, a few copies each, one value
+  per point;
+* ``minus_dl_gradient_estimates``: the same points and copies, one gradient
+  per functional and point;
+* ``fbm.delta_fbm``: outer fBm coordinates, whose ``term`` re-solves the SDE
+  on the shifted copies and returns one value per (s, t) pair and point.
 
 Rows that share a seed -- several phi in ``ibp_residual``, several p in
 ``poincare_check``, several (s, t) in ``fbm.delta_fbm`` -- share one Mehler
@@ -35,6 +43,7 @@ Two sampling regimes share this representation:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,12 +125,19 @@ def mean_estimate(batches) -> Estimate:
     return Estimate(acc.mean, acc.std_error)
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_legendre_unit(n_nodes: int):
-    """Gauss-Legendre nodes and weights on [0, 1]; weights renormalized to sum 1."""
+    """Gauss-Legendre nodes and weights on [0, 1]; weights renormalized to sum 1.
+
+    Cached per node count, so both arrays are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     nodes = 0.5 * (x + 1.0)
     weights = 0.5 * w
-    return nodes, weights / weights.sum()
+    weights /= weights.sum()
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def mehler_shift(omega: np.ndarray, omega_hat: np.ndarray, u: float) -> np.ndarray:

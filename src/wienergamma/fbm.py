@@ -5,10 +5,24 @@
 its pathwise derivative with respect to the driving noise, and the supremum
 comparison of the centered solution against the driving fBm.
 
-Paths are generated from the Cholesky factor of the increment covariance, so
-the increments double as the correlated basis of a Wiener space: the whitened
-coordinates of a path are exactly what the Gamma machinery needs, and the
-long-memory kernel enters only through the increment Gram matrix.
+Paths are generated from the Cholesky factor L of the increment covariance
+G = L L^T, so the increments double as the correlated basis of a Wiener
+space: the whitened coordinates of a path are exactly what the Gamma
+machinery needs, and the long-memory kernel enters only through G.
+
+Paths, Euler solutions and the cumulative exponent of b' have shape
+(..., m + 1) but are stored time-major, as the transpose of an
+(m + 1, paths) buffer, so every time step reads and writes one contiguous
+row.  The cumulative sums and Euler steps give the numbers of a row-major
+computation bit for bit.  The synthesis product L xi^T has the paths as its
+row dimension, so it can round differently from xi L^T in the last bit where
+the BLAS treats that edge differently (with OpenBLAS: some path counts of 129
+or more that are not multiples of 8).
+
+The pathwise derivative is never projected onto whitened coordinates: the
+Delta integrand <(D_t - D_s)(y) L, (D_t - D_s)(x) L> is computed as
+(D_t - D_s)(y) . [(D_t - D_s)(x) G], with one Gram product per outer point
+and pair.
 """
 
 from __future__ import annotations
@@ -85,10 +99,25 @@ def fbm_space(grid: FbmGrid) -> WienerSpace:
 
 
 def paths_from_whitened(space: WienerSpace, xi: np.ndarray) -> np.ndarray:
-    """Turn whitened coordinates (..., m) into fBm paths (..., m + 1)."""
-    increments = xi @ space.whitener.T
-    zeros = np.zeros(increments.shape[:-1] + (1,))
-    return np.concatenate([zeros, np.cumsum(increments, axis=-1)], axis=-1)
+    """Turn whitened coordinates (..., m) into fBm paths (..., m + 1).
+
+    The paths are stored time-major: the result is the transpose of an
+    (m + 1, paths) buffer, so one time step of every path is contiguous.
+    """
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.reshape(-1, space.dim)
+    paths = np.empty((space.dim + 1, flat.shape[0]))
+    paths[0] = 0.0
+    np.matmul(space.whitener, flat.T, out=paths[1:])
+    _cumsum_rows(paths[1:])
+    return paths.T.reshape(xi.shape[:-1] + (space.dim + 1,))
+
+
+def _cumsum_rows(a: np.ndarray):
+    """In-place cumulative sum along axis 0, one contiguous row at a time;
+    ``np.cumsum`` would walk the strided axis.  Same sums, same order."""
+    for k in range(1, len(a)):
+        a[k] += a[k - 1]
 
 
 def fbm_sample(grid: FbmGrid, rng: np.random.Generator, size: int | None = None,
@@ -107,7 +136,8 @@ def fbm_sample(grid: FbmGrid, rng: np.random.Generator, size: int | None = None,
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift b with its derivative; b must be Lipschitz."""
+    """Drift b with its derivative; b must be Lipschitz.  Both act
+    elementwise; b may return a scalar that broadcasts over its argument."""
 
     b: object
     b_prime: object
@@ -118,7 +148,8 @@ class DriftSpec:
             raise ValueError("lipschitz_bound must be positive")
 
 
-ZERO_DRIFT = DriftSpec(b=lambda x: np.zeros_like(x), b_prime=lambda x: np.zeros_like(x),
+# b returns a scalar so that an Euler step adds 0.0 without allocating zeros.
+ZERO_DRIFT = DriftSpec(b=lambda x: 0.0, b_prime=lambda x: np.zeros_like(x),
                        lipschitz_bound=1.0)
 TANH_DRIFT = DriftSpec(b=np.tanh, b_prime=lambda x: 1.0 / np.cosh(x) ** 2,
                        lipschitz_bound=1.0)
@@ -129,40 +160,51 @@ NEG_TANH_DRIFT = DriftSpec(b=lambda x: -np.tanh(x),
 
 def euler_solve(x0: float, drift: DriftSpec, fbm_paths: np.ndarray,
                 times: np.ndarray) -> np.ndarray:
-    """Explicit Euler: F_{k+1} = F_k + (B_{k+1} - B_k) + b(F_k) dt_k."""
+    """Explicit Euler: F_{k+1} = F_k + (B_{k+1} - B_k) + b(F_k) dt_k.
+
+    The solution keeps the memory order of ``fbm_paths``, so time-major
+    paths give contiguous steps.
+    """
     fbm_paths = np.asarray(fbm_paths, dtype=float)
     dts = np.diff(times)
     out = np.empty_like(fbm_paths)
     out[..., 0] = x0
     for k in range(dts.size):
-        db = fbm_paths[..., k + 1] - fbm_paths[..., k]
-        out[..., k + 1] = out[..., k] + db + drift.b(out[..., k]) * dts[k]
+        prev, step = out[..., k], out[..., k + 1]
+        np.subtract(fbm_paths[..., k + 1], fbm_paths[..., k], out=step)
+        step += prev
+        step += drift.b(prev) * dts[k]
     return out
 
 
 def _cumulative_bprime(values: np.ndarray, drift: DriftSpec,
                        times: np.ndarray) -> np.ndarray:
-    """Trapezoid cumulative of b'(F) along the grid: c_k = int_0^{t_k} b'(F)."""
-    bp = drift.b_prime(values)
-    dts = np.diff(times)
-    segments = 0.5 * (bp[..., :-1] + bp[..., 1:]) * dts
-    zeros = np.zeros(values.shape[:-1] + (1,))
-    return np.concatenate([zeros, np.cumsum(segments, axis=-1)], axis=-1)
+    """Trapezoid cumulative of b'(F) along the grid: c_k = int_0^{t_k} b'(F).
 
-
-def _increment_derivative(cumulative: np.ndarray, t_idx: int) -> np.ndarray:
-    """d F_{t_idx} / d (increment j), j = 0..m-1, from the cumulative exponent.
-
-    Increment j covers (t_j, t_{j+1}]; its derivative is exp(c_t - c_{j+1}) for
-    j < t_idx and zero after, which is the right-endpoint reading of the
-    continuous kernel and matches the Euler chain rule to first order.
+    Shape (..., m + 1), time-major like ``paths_from_whitened``.
     """
-    m = cumulative.shape[-1] - 1
-    out = np.zeros(cumulative.shape[:-1] + (m,))
-    if t_idx == 0:
-        return out
-    ct = cumulative[..., t_idx, None]
-    out[..., :t_idx] = np.exp(ct - cumulative[..., 1 : t_idx + 1])
+    bp = np.moveaxis(drift.b_prime(values), -1, 0)
+    dts = np.diff(times).reshape((-1,) + (1,) * (bp.ndim - 1))
+    out = np.empty(bp.shape)
+    out[0] = 0.0
+    segments = np.add(bp[:-1], bp[1:], out=out[1:])
+    segments *= 0.5
+    segments *= dts
+    _cumsum_rows(segments)
+    return np.moveaxis(out, 0, -1)
+
+
+def _derivative_difference(cumulative: np.ndarray, s_idx: int,
+                           t_idx: int) -> np.ndarray:
+    """d (F_t - F_s) / d (increment j) for j < t_idx, time-major (t_idx, ...).
+
+    Increment j covers (t_j, t_{j+1}]; d F_t / d (increment j) is
+    exp(c_t - c_{j+1}) for j < t and zero after, which is the right-endpoint
+    reading of the continuous kernel and matches the Euler chain rule to first
+    order.  ``cumulative`` is time-major (m + 1, ...).
+    """
+    out = np.exp(cumulative[t_idx] - cumulative[1 : t_idx + 1])
+    out[:s_idx] -= np.exp(cumulative[s_idx] - cumulative[1 : s_idx + 1])
     return out
 
 
@@ -176,8 +218,9 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
     coupled path u*xi + sqrt(1-u^2)*xi_hat) instead of transcribing the
     explicit double-time-integral form; the two agree by construction, and the
     long-memory weights enter through the increment Gram matrix.  All pairs
-    share the outer paths, inner copies and Euler solves; only the gradient
-    projection repeats per pair, so each estimate equals a one-pair call.
+    share the outer paths, inner copies and Euler solves; only the derivative
+    and its dot product with the Gram-projected base derivative repeat per
+    pair, so each estimate equals a one-pair call.
     """
     pairs = list(pairs)
     if not all(0 <= s_idx <= t_idx <= grid.n_steps for s_idx, t_idx in pairs):
@@ -186,25 +229,28 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
     times = grid.times
     per = inner_copies_per_point(cfg, n_outer)
 
-    def diff_gradients_whitened(xi):
-        """Per-pair gradients of F_t - F_s, chained through increments = L xi."""
-        paths = paths_from_whitened(space, xi)
-        values = euler_solve(x0, drift, paths, times)
-        c = _cumulative_bprime(values, drift, times)
-        return np.stack([(_increment_derivative(c, t_idx) - _increment_derivative(c, s_idx))
-                         @ space.whitener for s_idx, t_idx in pairs])
+    def cumulative(xi):
+        """Time-major exponent c, (m + 1,) + xi.shape[:-1], of the paths of xi."""
+        values = euler_solve(x0, drift, paths_from_whitened(space, xi), times)
+        return np.moveaxis(_cumulative_bprime(values, drift, times), -1, 0)
 
     def job(chunk, rng):
         xi = rng.standard_normal((chunk, space.dim))
-        base_grads = diff_gradients_whitened(xi)
+        c = cumulative(xi)
+        # <(D_t - D_s)(y) L, (D_t - D_s)(x) L> = (D_t - D_s)(y) . v with
+        # v = (D_t - D_s)(x) G: one Gram product per outer point and pair,
+        # none per shifted path.
+        projected = [_derivative_difference(c, s_idx, t_idx).T
+                     @ space.gram[:t_idx, :t_idx] for s_idx, t_idx in pairs]
         inner = inner_normals(rng, (chunk,), per, space.dim, cfg.antithetic)
 
         def term(shifted):
-            shifted_grads = diff_gradients_whitened(
-                shifted.reshape(-1, space.dim)
-            ).reshape(len(pairs), chunk, per, space.dim)
-            return np.stack([np.mean(np.einsum("crd,cd->cr", sg, bg), axis=1)
-                             for sg, bg in zip(shifted_grads, base_grads)])
+            c_y = cumulative(shifted.reshape(-1, space.dim)).reshape(-1, chunk, per)
+            means = []
+            for (s_idx, t_idx), v in zip(pairs, projected):
+                d = _derivative_difference(c_y, s_idx, t_idx).transpose(1, 0, 2)
+                means.append(np.mean((v[:, None, :] @ d)[:, 0], axis=1))
+            return np.stack(means)
 
         return mehler_integral(xi[:, None, :], inner, cfg, term)
 
@@ -226,16 +272,17 @@ def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
     times = grid.times
 
     def pilot_job(chunk, rng):
-        paths, _ = fbm_sample(grid, rng, size=chunk, space=space)
+        paths = fbm_sample(grid, rng, size=chunk, space=space)[0]
         values = euler_solve(x0, drift, paths, times)
         return values.sum(axis=0)
 
     mean_path = sum(run_chunked(n_paths, workers, seed, 0xF1A, pilot_job)) / n_paths
 
     def main_job(chunk, rng):
-        paths, _ = fbm_sample(grid, rng, size=chunk, space=space)
+        paths = fbm_sample(grid, rng, size=chunk, space=space)[0]
         values = euler_solve(x0, drift, paths, times)
-        return (values - mean_path).max(axis=-1), paths.max(axis=-1)
+        values -= mean_path
+        return values.max(axis=-1), paths.max(axis=-1)
 
     maxima = run_chunked(n_paths, workers, seed, 0xF1B, main_job)
     return (mean_estimate(sde for sde, _ in maxima),

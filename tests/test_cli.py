@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wienergamma import cli
+from wienergamma import cli, engine
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 from wienergamma.engine import MehlerConfig
 from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
@@ -261,6 +261,21 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text, prefix, names):
     assert captured.err.startswith(prefix)
     assert names in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["empty-p", "empty-phi"])
+def test_empty_check_list_rejected_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew outer points or ran a Mehler pass")
+
+    monkeypatch.setattr(engine, "sample", refuse)
+    monkeypatch.setattr(engine, "coupled_gamma_values", refuse)
+    text, prefix, names = BAD_INPUTS[case]
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text)
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and names in err and err.count("\n") == 1
 
 
 def test_readme_config_example_is_accepted():

@@ -336,6 +336,14 @@ class TestConfig:
         _, wts = gauss_legendre_unit(32)
         assert wts.sum() == pytest.approx(1.0, abs=1e-15)
 
+    def test_quadrature_cached_read_only(self):
+        nodes, wts = gauss_legendre_unit(16)
+        assert gauss_legendre_unit(16)[0] is nodes
+        assert not nodes.flags.writeable and not wts.flags.writeable
+        x, w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(wts, 0.5 * w / (0.5 * w).sum())
+
     def test_inner_copies_budget(self):
         cfg = MehlerConfig(mc_samples=20_000)
         assert inner_copies_per_point(cfg, 10_000) == 2

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from wienergamma.cli import lower, upper
-from wienergamma.engine import MehlerConfig
+from wienergamma.engine import (
+    MehlerConfig,
+    inner_copies_per_point,
+    inner_normals,
+    mean_estimate,
+    mehler_integral,
+)
 from wienergamma.fbm import (
     _cumulative_bprime,
     DriftSpec,
@@ -18,9 +24,59 @@ from wienergamma.fbm import (
     fbm_sample,
     fbm_space,
     increment_gram,
+    paths_from_whitened,
     sup_comparison,
     uniform_grid,
 )
+from wienergamma.parallel import run_chunked
+
+
+def path_major_paths(space, xi):
+    """Row-major oracle: increments xi L^T, then a cumsum along the last axis."""
+    increments = xi @ space.whitener.T
+    zeros = np.zeros(increments.shape[:-1] + (1,))
+    return np.concatenate([zeros, np.cumsum(increments, axis=-1)], axis=-1)
+
+
+def path_major_euler(x0, drift, fbm_paths, times):
+    """Row-major oracle of the Euler recursion, one strided column per step."""
+    dts = np.diff(times)
+    out = np.empty_like(fbm_paths)
+    out[..., 0] = x0
+    for k in range(dts.size):
+        db = fbm_paths[..., k + 1] - fbm_paths[..., k]
+        out[..., k + 1] = out[..., k] + db + drift.b(out[..., k]) * dts[k]
+    return out
+
+
+def delta_whitened_reference(grid, drift, pairs, cfg, n_outer, seed, workers):
+    """Delta estimates with every derivative taken to whitened coordinates,
+    (D_t - D_s)(y) L . (D_t - D_s)(x) L, on the draws delta_fbm makes."""
+    space = fbm_space(grid)
+    m = grid.n_steps
+    per = inner_copies_per_point(cfg, n_outer)
+
+    def gradients(xi):
+        values = euler_solve(0.0, drift, path_major_paths(space, xi), grid.times)
+        c = _cumulative_bprime(values, drift, grid.times)
+        grads = []
+        for s_idx, t_idx in pairs:
+            d = np.zeros(xi.shape[:-1] + (m,))
+            d[..., :t_idx] = np.exp(c[..., t_idx, None] - c[..., 1 : t_idx + 1])
+            d[..., :s_idx] -= np.exp(c[..., s_idx, None] - c[..., 1 : s_idx + 1])
+            grads.append(d @ space.whitener)
+        return grads
+
+    def job(chunk, rng):
+        xi = rng.standard_normal((chunk, m))
+        base = gradients(xi)
+        inner = inner_normals(rng, (chunk,), per, m, cfg.antithetic)
+        return mehler_integral(xi[:, None, :], inner, cfg, lambda y: np.stack(
+            [np.mean(np.einsum("crd,cd->cr", sg, bg), axis=1)
+             for sg, bg in zip(gradients(y), base)]))
+
+    return [mean_estimate(batches)
+            for batches in zip(*run_chunked(n_outer, workers, seed, 0xFB1, job))]
 
 
 def sde_malliavin(values: np.ndarray, drift: DriftSpec,
@@ -112,6 +168,53 @@ class TestSampling:
             se = np.std(sq, ddof=1) / math.sqrt(len(sq))
             assert np.mean(sq) == pytest.approx(
                 grid.times[k] ** 1.4, abs=3.0 * se)
+
+
+class TestTimeMajorKernels:
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (3, 5), (4, 64), (2400,)])
+    @pytest.mark.parametrize("drift", [TANH_DRIFT, NEG_TANH_DRIFT, ZERO_DRIFT],
+                             ids=["tanh", "neg-tanh", "zero"])
+    def test_bit_identical_to_path_major(self, lead, drift):
+        # The oracle runs on the flattened (paths, m) rows: a BLAS product over
+        # a stack of small matrices may round differently from one over their
+        # concatenation, and the time-major kernel is the single product.  With
+        # OpenBLAS, L xi^T and xi L^T round alike for these path counts (fewer
+        # than 129, or a multiple of 8); see test_product_edge_rounding.
+        grid = uniform_grid(0.7, 1.0, 128)
+        space = fbm_space(grid)
+        xi = np.random.default_rng(40).standard_normal(lead + (grid.n_steps,))
+        expected = path_major_paths(space, xi.reshape(-1, grid.n_steps))
+        paths = paths_from_whitened(space, xi)
+        assert paths.shape == lead + (grid.n_steps + 1,)
+        assert np.array_equal(paths, expected.reshape(paths.shape))
+        values = euler_solve(0.3, drift, paths, grid.times)
+        assert np.array_equal(values, path_major_euler(0.3, drift, expected,
+                                                       grid.times).reshape(values.shape))
+
+    def test_product_edge_rounding(self):
+        # With the paths as the product's row dimension, OpenBLAS's edge
+        # kernels can round L xi^T in the last bit unlike xi L^T (300 paths:
+        # not a multiple of 8).  The cumulative sum and the Euler step add no
+        # difference of their own.
+        grid = uniform_grid(0.7, 1.0, 128)
+        space = fbm_space(grid)
+        xi = np.random.default_rng(42).standard_normal((300, grid.n_steps))
+        paths = paths_from_whitened(space, xi)
+        assert np.allclose(paths, path_major_paths(space, xi), rtol=0.0, atol=1e-14)
+        increments = (space.whitener @ xi.T).T
+        assert np.array_equal(paths[:, 1:], np.cumsum(increments, axis=-1))
+        row_major = np.ascontiguousarray(paths)
+        assert np.array_equal(euler_solve(0.3, TANH_DRIFT, paths, grid.times),
+                              path_major_euler(0.3, TANH_DRIFT, row_major, grid.times))
+
+    def test_time_steps_are_contiguous(self):
+        grid = uniform_grid(0.7, 1.0, 16)
+        space = fbm_space(grid)
+        xi = np.random.default_rng(41).standard_normal((50, 16))
+        paths = paths_from_whitened(space, xi)
+        values = euler_solve(0.0, TANH_DRIFT, paths, grid.times)
+        for arr in (paths, values, _cumulative_bprime(values, TANH_DRIFT, grid.times)):
+            assert np.moveaxis(arr, -1, 0).flags.c_contiguous
 
 
 class TestEuler:
@@ -235,6 +338,19 @@ class TestDeltaFbm:
         alone = [delta_fbm(grid, TANH_DRIFT, [pair], cfg=cfg, n_outer=16, seed=3,
                            workers=workers)[0] for pair in pairs]
         assert shared == alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("drift", [TANH_DRIFT, ZERO_DRIFT], ids=["tanh", "zero"])
+    def test_gram_projection_matches_whitened_reference(self, drift, workers):
+        grid = uniform_grid(0.7, 1.0, 32)
+        cfg = MehlerConfig(seed=21, quad_nodes=8, mc_samples=256)
+        pairs = [(0, 32), (0, 9), (4, 20), (10, 10), (0, 0), (20, 32)]
+        got = delta_fbm(grid, drift, pairs, cfg=cfg, n_outer=16, seed=5, workers=workers)
+        ref = delta_whitened_reference(grid, drift, pairs, cfg, 16, 5, workers)
+        for g, r in zip(got, ref):
+            assert g.value == pytest.approx(r.value, rel=1e-12)
+            assert g.std_error == pytest.approx(r.std_error, rel=1e-6,
+                                                abs=1e-12 * abs(r.value))
 
     def test_bad_pair_rejected(self):
         grid = uniform_grid(0.7, 1.0, 8)
