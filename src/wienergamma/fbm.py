@@ -99,11 +99,8 @@ def fbm_space(grid: FbmGrid) -> WienerSpace:
 
 
 def paths_from_whitened(space: WienerSpace, xi: np.ndarray) -> np.ndarray:
-    """Turn whitened coordinates (..., m) into fBm paths (..., m + 1).
-
-    The paths are stored time-major: the result is the transpose of an
-    (m + 1, paths) buffer, so one time step of every path is contiguous.
-    """
+    """Turn whitened coordinates (..., m) into fBm paths (..., m + 1),
+    stored time-major: the transpose of an (m + 1, paths) buffer."""
     xi = np.asarray(xi, dtype=float)
     flat = xi.reshape(-1, space.dim)
     paths = np.empty((space.dim + 1, flat.shape[0]))
