@@ -21,17 +21,14 @@ from .core import (
     WienerSpace,
     WienerSpaceError,
     build_space,
-    center_by_monte_carlo,
     functional_difference,
     hermite_value,
-    isonormal_values,
     make_field,
-    malliavin_derivative,
     sample,
     w,
 )
-from .grammar import ParseError, format_expression, parse_expression
-from .chaos import ChaosForm, expectation_of_product, form, gamma_oracle, oracle_suite
+from .grammar import ParseError, parse_expression
+from .chaos import ChaosForm, form, gamma_oracle, oracle_suite
 from .engine import (
     CenteringError,
     Estimate,
@@ -66,10 +63,8 @@ from .sk import (
     IID_GAUSSIAN,
     Medium,
     MediumFamily,
-    clt_chaos2,
     condition_audit,
     convergence_experiment,
-    correlated_gaussian,
     free_energy_exact,
     gamma_f_bound_check,
     generic_bound_check,

@@ -13,23 +13,11 @@ exactly, which is the reference the Monte Carlo engine is validated against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Constant,
-    ExpressionError,
-    Functional,
-    Hermite,
-    Coordinate,
-    Product,
-    Sum,
-    WienerSpace,
-    hermite_pair,
-    hermite_value,
-)
+from .core import ExpressionError, WienerSpace, hermite_pair, hermite_value
 
 Factor = tuple[int, int]  # (coordinate index, Hermite order >= 1)
 Term = tuple[float, tuple[Factor, ...]]
@@ -56,18 +44,9 @@ class ChaosForm:
                     raise ExpressionError(
                         f"coordinate {i} out of range for dimension {self.space.dim}")
 
-    def order(self) -> int:
-        return max((sum(q for _, q in fs) for _, fs in self.terms), default=0)
-
     def mean(self) -> float:
         """E[form]: only constant terms contribute."""
         return float(sum(c for c, fs in self.terms if not fs))
-
-    def centered(self) -> "ChaosForm":
-        """Drop constant terms, i.e. subtract the exact mean."""
-        if self.mean() == 0.0:
-            return self
-        return ChaosForm(self.space, tuple((c, fs) for c, fs in self.terms if fs))
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -112,18 +91,6 @@ class ChaosForm:
     def eval(self, x) -> np.ndarray:
         return self.value(x)
 
-    def to_functional(self) -> Functional:
-        """Equivalent expression-tree functional (same value and gradient)."""
-        term_exprs = []
-        for coeff, factors in self.terms:
-            children = [Constant(float(coeff))]
-            children.extend(Hermite(q, Coordinate(i)) for i, q in factors)
-            term_exprs.append(children[0] if len(children) == 1 else Product(tuple(children)))
-        if not term_exprs:
-            term_exprs = [Constant(0.0)]
-        expr = term_exprs[0] if len(term_exprs) == 1 else Sum(tuple(term_exprs))
-        return Functional(self.space, expr, 0.0)
-
 
 def gamma_oracle(f: ChaosForm, g: ChaosForm, x) -> np.ndarray:
     """Exact Gamma_{F,G}(x) = <DF(x), -D L^{-1} G(x)> for chaos forms."""
@@ -131,24 +98,6 @@ def gamma_oracle(f: ChaosForm, g: ChaosForm, x) -> np.ndarray:
         raise ExpressionError("chaos forms live on different spaces")
     x = np.asarray(x, dtype=float)
     return np.sum(f.gradient(x) * g.minus_dl_gradient(x), axis=-1)
-
-
-def expectation_of_product(f: ChaosForm, g: ChaosForm) -> float:
-    """Exact E[F * G] from Hermite orthogonality E[H_p H_q] = q! 1{p=q}."""
-    total = 0.0
-    for cf, fs in f.terms:
-        f_orders = dict(fs)
-        for cg, gs in g.terms:
-            g_orders = dict(gs)
-            if set(f_orders) != set(g_orders):
-                continue
-            if any(f_orders[i] != g_orders[i] for i in f_orders):
-                continue
-            weight = 1.0
-            for q in f_orders.values():
-                weight *= math.factorial(q)
-            total += cf * cg * weight
-    return total
 
 
 def form(space: WienerSpace, *terms: Term) -> ChaosForm:

@@ -53,7 +53,6 @@ from .fbm import (
     uniform_grid,
 )
 from .grammar import parse_expression
-from .parallel import default_workers
 from .sk import (
     Medium,
     MediumFamily,
@@ -260,7 +259,7 @@ def run_gamma(params, seed, workers, cfg):
 
 @experiment("ibp-check", "integration-by-parts residual E[phi(F)G] - E[phi'(F)Gamma]",
             "Gaussian integration by parts / chain rule",
-            n_outer=10_000, phi=("id", "square", "tanh"), f_expr=None,
+            n_outer=Param(10_000, low=2), phi=("id", "square", "tanh"), f_expr=None,
             g_expr=Param(None, needs="f_expr"), dim=Param(1, needs="f_expr"))
 def run_ibp_check(params, seed, workers, cfg):
     """Integration-by-parts residuals over the chaos suite, or over the pair
@@ -302,7 +301,8 @@ POINCARE_SUITE = (
 
 @experiment("poincare", "moment bound E|F|^p <= (p-1)^{p/2} E|Gamma|^{p/2}",
             "Poincare-type inequality",
-            p=(2.0, 3.0, 4.0), n_outer=20_000, expr=None, dim=Param(1, needs="expr"))
+            p=(2.0, 3.0, 4.0), n_outer=Param(20_000, low=2), expr=None,
+            dim=Param(1, needs="expr"))
 def run_poincare(params, seed, workers, cfg):
     """Moment inequality E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, over the
     suite or over expr when it is set."""
@@ -324,7 +324,7 @@ def run_poincare(params, seed, workers, cfg):
 @experiment("sudakov", "supremum comparison via soft-max interpolation",
             "Sudakov-Fernique comparison",
             d=5, sigma_f=1.0, sigma_g=1.5, betas=(1.0, 2.0, 4.0, 8.0, 16.0),
-            n_outer=4_000, n_sup=100_000, t_points=21)
+            n_outer=Param(4_000, low=2), n_sup=Param(100_000, low=2), t_points=21)
 def run_sudakov(params, seed, workers, cfg):
     """Supremum comparison for dominated Gaussian fields plus the
     independent-additive-noise baseline."""
@@ -358,7 +358,8 @@ def run_sudakov(params, seed, workers, cfg):
 
 @experiment("slepian", "functional comparison under dominated Gamma matrices",
             "Slepian-type comparison",
-            d=2, n_outer=4_000, n_value=100_000, cov_g=None, bump=None, t_points=11)
+            d=2, n_outer=Param(4_000, low=2), n_value=Param(100_000, low=2), cov_g=None,
+            bump=None, t_points=11)
 def run_slepian(params, seed, workers, cfg):
     """Functional comparison with a quadratic payoff under entrywise
     dominated Gamma matrices (Gaussian case).  cov_g defaults to unit
@@ -387,7 +388,7 @@ def run_slepian(params, seed, workers, cfg):
 @experiment("concentration", "joint tail against exp(-|x|^2 / 2|C|_op)",
             "Gaussian-dominated concentration bound",
             case=Param("both", choices=("both", "scalar-gaussian", "chaos2")),
-            n_outer=1_000_000, x=2.0, x2=(1.5, 1.5), n_psd=16)
+            n_outer=Param(1_000_000, low=2), x=2.0, x2=(1.5, 1.5), n_psd=Param(16, low=1))
 def run_concentration(params, seed, workers, cfg):
     """Joint upper tail against the Gaussian-dominated exponential bound."""
     rows = []
@@ -421,7 +422,7 @@ def _concentration_rows(case, res) -> list[Row]:
 
 @experiment("perturbation", "monotone perturbation of a Gaussian vector",
             "Slepian-type comparison for perturbed vectors",
-            n_points=Param(5, low=1), n_value=150_000, theta=(0.4, 0.4))
+            n_points=Param(5, low=1), n_value=Param(150_000, low=2), theta=(0.4, 0.4))
 def run_perturbation(params, seed, workers, cfg):
     """Monotone perturbation of a Gaussian vector: Gamma dominates the base
     covariance entrywise and a payoff with nonnegative cross-derivatives
@@ -460,7 +461,8 @@ def run_perturbation(params, seed, workers, cfg):
 
 @experiment("fbm-sde", "fBm-driven SDE: squared-metric and supremum comparisons",
             "Sudakov-Fernique comparison for fBm SDEs",
-            hurst=0.7, m=128, horizon=1.0, n_paths=100_000, n_outer=400, dump_paths=0,
+            hurst=0.7, m=128, horizon=1.0, n_paths=Param(100_000, low=2),
+            n_outer=Param(400, low=2), dump_paths=0,
             delta_pairs=((0.0, 1.0), (0.125, 0.375), (0.25, 0.75), (0.5, 0.625),
                          (0.25, 1.0)))
 def run_fbm_sde(params, seed, workers, cfg):
@@ -548,10 +550,10 @@ def run_sk_free_energy(params, seed, workers, cfg):
 
 @experiment("sk-generic-bound", "free-energy universality bound across media families",
             "SK universality: interpolation bound",
-            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=1), f="tanh",
+            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=2), f="tanh",
             families=({"kind": "clt-chaos2", "m": 1}, {"kind": "clt-chaos2", "m": "N"},
                       {"kind": "correlated-gaussian", "r": 3.0}),
-            gap_media=Param(4_000, low=1))
+            gap_media=Param(4_000, low=2))
 def run_sk_generic_bound(params, seed, workers, cfg):
     """Free-energy comparison bound cells over families and sizes, plus the
     paired-gap ladder for the size-scaled chaos family."""
@@ -605,7 +607,7 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
 
 @experiment("sk-convergence", "finite-size free-energy table across media families",
             "SK universality: finite-size trends",
-            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=1),
+            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=2),
             families=({"kind": "clt-chaos2", "m": "N"},
                       {"kind": "correlated-gaussian", "r": 3.0}))
 def run_sk_convergence(params, seed, workers, cfg):
@@ -636,7 +638,7 @@ def run(config: dict) -> dict:
 def _settings(config: dict):
     """Validate a config; returns (command, params, seed, workers, cfg)."""
     top = merge("config", config, {"command": None, "seed": 0,
-                                   "workers": default_workers(), "mehler": {},
+                                   "workers": Param(1, low=1), "mehler": {},
                                    "params": {}})
     command = top["command"]
     if command not in EXPERIMENTS:

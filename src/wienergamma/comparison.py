@@ -142,18 +142,6 @@ def _affine_delta_matrix(grads: np.ndarray) -> np.ndarray:
 # Sudakov-Fernique-type interpolation
 # ---------------------------------------------------------------------------
 
-def sf_phi_value(pair: FieldPair, t: float, beta: float, n_outer: int,
-                 seed: int = 0, workers: int = 1) -> Estimate:
-    """phi(t) = (1/beta) E log sum_i exp(beta (sqrt(1-t) G_i + sqrt(t) F_i))."""
-
-    def job(chunk, rng):
-        pts = sample(pair.space, rng, chunk)
-        interp = math.sqrt(1.0 - t) * pair.g.eval_all(pts) + math.sqrt(t) * pair.f.eval_all(pts)
-        return softmax_sup(beta, interp)
-
-    return mean_estimate(run_chunked(n_outer, workers, seed, 0x501, job))
-
-
 def _delta_matrices_at(pair: FieldPair, pts: np.ndarray, cfg: MehlerConfig,
                        rng: np.random.Generator):
     """Per-point Delta matrices for both fields, shape 2 x (B, d, d).
@@ -241,24 +229,6 @@ def quadratic_function(a: np.ndarray, name: str = "quadratic") -> HessianFunctio
     def hessian(x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(a, x.shape[:-1] + a.shape).copy()
-
-    return HessianFunction(name, fun, hessian)
-
-
-def log_sum_exp_function(beta: float, name: str = "log-sum-exp") -> HessianFunction:
-    """f(x) = (1/beta) log sum exp(beta x_i), a smooth convex max surrogate."""
-
-    def fun(x):
-        return softmax_sup(beta, x)
-
-    def hessian(x):
-        x = np.asarray(x, dtype=float)
-        s = beta * x
-        s = s - np.max(s, axis=-1, keepdims=True)
-        p = np.exp(s)
-        p /= np.sum(p, axis=-1, keepdims=True)
-        eye = np.eye(x.shape[-1])
-        return beta * (eye * p[..., None] - p[..., :, None] * p[..., None, :])
 
     return HessianFunction(name, fun, hessian)
 

@@ -124,12 +124,6 @@ def sample(space: WienerSpace, rng: np.random.Generator, size: int | None = None
     return rng.standard_normal((size, space.dim))
 
 
-def isonormal_values(space: WienerSpace, xi: np.ndarray) -> np.ndarray:
-    """Basis values (W(h_1), ..., W(h_n)) at whitened coordinates xi."""
-    xi = np.asarray(xi, dtype=float)
-    return xi @ space.whitener.T
-
-
 # ---------------------------------------------------------------------------
 # Expression trees
 # ---------------------------------------------------------------------------
@@ -432,18 +426,10 @@ class Functional:
         _check_finite(grad, "functional gradient")
         return val, grad
 
-    def with_mean_shift(self, mean_shift: float) -> "Functional":
-        return Functional(self.space, self.expr, float(mean_shift))
-
 
 def _check_finite(a, what: str):
     if not np.all(np.isfinite(a)):
         raise EvaluationOverflow(f"{what} is not finite")
-
-
-def malliavin_derivative(functional: Functional, x) -> np.ndarray:
-    """Gradient in whitened coordinates: the Malliavin derivative of F at x."""
-    return functional.gradient(x)
 
 
 def functional_difference(f_t: Functional, f_s: Functional) -> Functional:
@@ -455,15 +441,6 @@ def functional_difference(f_t: Functional, f_s: Functional) -> Functional:
         Sum((f_t.expr, Negate(f_s.expr))),
         f_t.mean_shift - f_s.mean_shift,
     )
-
-
-def center_by_monte_carlo(
-    functional: Functional, rng: np.random.Generator, n_samples: int = 100_000
-) -> Functional:
-    """Estimate E[F] by Monte Carlo and return a copy shifted to mean zero."""
-    xi = sample(functional.space, rng, n_samples)
-    mean = float(np.mean(functional.expr.value(xi)))
-    return functional.with_mean_shift(mean)
 
 
 @dataclass(frozen=True)

@@ -80,49 +80,28 @@ class Estimate:
     std_error: float
 
 
-class RunningMoments:
-    """Streaming mean/variance over batches (Chan's merge)."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add_batch(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float).ravel()
+def mean_estimate(batches) -> Estimate:
+    """Mean and standard error of the samples in ``batches``, merged in order
+    by Chan's update of the count, the mean and the sum of squared deviations."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for batch in batches:
+        values = np.asarray(batch, dtype=float).ravel()
         n = values.size
         if n == 0:
-            return
+            continue
         batch_mean = float(np.mean(values))
         batch_m2 = float(np.sum((values - batch_mean) ** 2))
-        if self.count == 0:
-            self.count, self.mean, self._m2 = n, batch_mean, batch_m2
-            return
-        total = self.count + n
-        delta = batch_mean - self.mean
-        self._m2 += batch_m2 + delta * delta * self.count * n / total
-        self.mean += delta * n / total
-        self.count = total
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std_error(self) -> float:
-        if self.count < 1:
-            return 0.0
-        return math.sqrt(self.variance / self.count)
-
-
-def mean_estimate(batches) -> Estimate:
-    """Mean and standard error of the samples in ``batches``, merged in order."""
-    acc = RunningMoments()
-    for batch in batches:
-        acc.add_batch(batch)
-    return Estimate(acc.mean, acc.std_error)
+        if count == 0:
+            count, mean, m2 = n, batch_mean, batch_m2
+            continue
+        total = count + n
+        delta = batch_mean - mean
+        m2 += batch_m2 + delta * delta * count * n / total
+        mean += delta * n / total
+        count = total
+    if count < 2:
+        return Estimate(mean, 0.0)
+    return Estimate(mean, math.sqrt(m2 / (count - 1) / count))
 
 
 @functools.lru_cache(maxsize=16)

@@ -204,56 +204,3 @@ def _constant_value(node: Expression) -> float | None:
 def parse_expression(text: str, dim: int) -> Expression:
     """Parse ``text`` against a space of dimension ``dim``."""
     return _Parser(_tokenize(text), dim).parse()
-
-
-def format_expression(expr: Expression) -> str:
-    """Print an expression so that parsing it back evaluates identically."""
-    return _format(expr)
-
-
-def _format(node: Expression) -> str:
-    if isinstance(node, Coordinate):
-        return f"w{node.index}"
-    if isinstance(node, Constant):
-        if node.value_ < 0:
-            return f"(-{repr(-node.value_)})"
-        return repr(node.value_)
-    if isinstance(node, Sum):
-        parts = [_paren_term(node.children[0])]
-        for child in node.children[1:]:
-            if isinstance(child, Negate):
-                parts.append(f"- {_paren_term(child.child)}")
-            else:
-                parts.append(f"+ {_paren_term(child)}")
-        return " ".join(parts)
-    if isinstance(node, Product):
-        return " * ".join(_paren_factor(c) for c in node.children)
-    if isinstance(node, Negate):
-        return f"-({_format(node.child)})"
-    if isinstance(node, Power):
-        return f"{_paren_base(node.child)}^{node.exponent}"
-    if isinstance(node, Exp):
-        return f"exp({_format(node.child)})"
-    if isinstance(node, Tanh):
-        return f"tanh({_format(node.child)})"
-    if isinstance(node, Hermite):
-        return f"hermite({node.order}, {_format(node.child)})"
-    raise ExpressionError(f"unknown node type {type(node).__name__}")
-
-
-def _paren_term(node: Expression) -> str:
-    if isinstance(node, (Sum, Negate)):
-        return f"({_format(node)})"
-    return _format(node)
-
-
-def _paren_factor(node: Expression) -> str:
-    if isinstance(node, (Sum, Negate)):
-        return f"({_format(node)})"
-    return _format(node)
-
-
-def _paren_base(node: Expression) -> str:
-    if isinstance(node, (Sum, Product, Negate, Power)):
-        return f"({_format(node)})"
-    return _format(node)

@@ -8,20 +8,9 @@ only, regardless of how many threads actually ran.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-WORKERS_ENV_VAR = "WIENERGAMMA_WORKERS"
-
-
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def chunk_sizes(total: int, workers: int) -> list[int]:

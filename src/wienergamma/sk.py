@@ -95,11 +95,7 @@ def _grow_expansion(partials: list, x: float):
 
 @dataclass(frozen=True)
 class FreeEnergyResult:
-    n: int
-    beta: float
-    value: float
-    method: str
-    std_error: float = 0.0
+    value: float  # (1/N) log Z
 
 
 def free_energy_exact(coupling: np.ndarray, beta: float) -> FreeEnergyResult:
@@ -147,7 +143,7 @@ def free_energy_exact(coupling: np.ndarray, beta: float) -> FreeEnergyResult:
         else:
             running_sum += math.exp(x - running_max)
     log_z = running_max + math.log(running_sum) - n * log2
-    return FreeEnergyResult(n=n, beta=beta, value=log_z / n, method="exact-enumeration")
+    return FreeEnergyResult(log_z / n)
 
 
 def free_energy_reference(coupling: np.ndarray, beta: float) -> FreeEnergyResult:
@@ -178,7 +174,7 @@ def free_energy_reference(coupling: np.ndarray, beta: float) -> FreeEnergyResult
         else:
             running_sum += math.exp(x - running_max)
     log_z = running_max + math.log(running_sum) - n * log2
-    return FreeEnergyResult(n=n, beta=beta, value=log_z / n, method="reference")
+    return FreeEnergyResult(log_z / n)
 
 
 def free_energy_batch(couplings: np.ndarray, beta: float) -> np.ndarray:
@@ -282,28 +278,12 @@ class MediumFamily:
 IID_GAUSSIAN = MediumFamily("iid-gaussian")
 
 
-def correlated_gaussian(r: float = 3.0) -> MediumFamily:
-    return MediumFamily("correlated-gaussian", r=r)
-
-
-def clt_chaos2(m: int | str) -> MediumFamily:
-    return MediumFamily("clt-chaos2", m=m)
-
-
 @dataclass(frozen=True)
 class Medium:
     family: MediumFamily
     n: int
     coupling: np.ndarray   # (N, N) symmetric, zero diagonal
     gamma_diag: np.ndarray  # (N, N) symmetric; entry (i, j) is Gamma_{J_ij, J_ij}
-
-    def gamma_cross(self, i: int, j: int, k: int, l: int) -> float:
-        """Gamma between distinct entries (exact per family)."""
-        if (i, j) == (k, l):
-            raise ValueError("use gamma_diag for coinciding entries")
-        if self.family.kind == "correlated-gaussian":
-            return (1.0 + abs(i - k) + abs(j - l)) ** (-self.family.r)
-        return 0.0
 
 
 _CORR_CHOL_CACHE: dict = {}

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wienergamma.chaos import (
-    expectation_of_product,
-    form,
-    gamma_oracle,
-    oracle_suite,
-)
+from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.core import ExpressionError, build_space, sample
+from util import chaos_to_functional, expectation_of_product
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +51,6 @@ class TestExactExpectations:
     def test_mean_of_constant_terms(self, space4):
         g = form(space4, (2.5, ()), (1.0, ((0, 2),)))
         assert g.mean() == pytest.approx(2.5)
-        assert g.centered().mean() == 0.0
 
     def test_second_moments(self, space4):
         h2 = form(space4, (1.0, ((0, 2),)))
@@ -85,7 +80,7 @@ class TestFunctionalBridge:
     def test_to_functional_matches_values_and_gradients(self, space4):
         rng = np.random.default_rng(17)
         f = form(space4, (0.5, ((0, 2), (2, 1))), (-1.0, ((1, 4),)), (0.3, ()))
-        func = f.to_functional()
+        func = chaos_to_functional(f)
         pts = sample(space4, rng, 50)
         assert np.allclose(func.eval(pts), f.value(pts), atol=1e-12)
         assert np.allclose(func.gradient(pts), f.gradient(pts), atol=1e-12)
@@ -97,5 +92,5 @@ def test_oracle_suite_shape(space4):
     names = [name for name, _, _ in suite]
     assert len(set(names)) == 12
     for _, f, g in suite:
-        assert f.order() <= 4 and g.order() <= 4
+        assert all(sum(q for _, q in fs) <= 4 for _, fs in f.terms + g.terms)
         assert f.mean() == 0.0 and g.mean() == 0.0

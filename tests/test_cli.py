@@ -248,6 +248,27 @@ BAD_INPUTS = {
     "ibp-dim-without-f-expr": (_config("ibp-check", dim=2), "error in config ", "'dim'"),
     "poincare-dim-without-expr": (_config("poincare", dim=2), "error in config ",
                                   "'dim'"),
+    "workers-zero": ('{"command": "gamma", "workers": 0}', "error in config ", "'workers'"),
+    "workers-negative": ('{"command": "gamma", "workers": -3}', "error in config ",
+                         "'workers'"),
+    # A sample count that would pass a row on no samples or give it a NaN SE.
+    "fbm-no-paths": (_config("fbm-sde", n_paths=0), "error in config ", "'n_paths'"),
+    "fbm-one-outer": (_config("fbm-sde", n_outer=1), "error in config ", "'n_outer'"),
+    "concentration-no-psd": (_config("concentration", n_psd=0), "error in config ",
+                             "'n_psd'"),
+    "generic-one-medium": (_config("sk-generic-bound", n_media=1), "error in config ",
+                           "'n_media'"),
+    "generic-one-gap-medium": (_config("sk-generic-bound", gap_media=1),
+                               "error in config ", "'gap_media'"),
+    "convergence-one-medium": (_config("sk-convergence", n_media=1), "error in config ",
+                               "'n_media'"),
+    "perturbation-one-value": (_config("perturbation", n_value=1), "error in config ",
+                               "'n_value'"),
+    "slepian-one-value": (_config("slepian", n_value=1), "error in config ", "'n_value'"),
+    "sudakov-one-sup": (_config("sudakov", n_sup=1), "error in config ", "'n_sup'"),
+    "ibp-no-outer": (_config("ibp-check", n_outer=0), "error in config ", "'n_outer'"),
+    "poincare-one-outer": (_config("poincare", n_outer=1), "error in config ",
+                           "'n_outer'"),
 }
 
 

@@ -14,12 +14,9 @@ from wienergamma.core import (
     RandomField,
     WienerSpaceError,
     build_space,
-    center_by_monte_carlo,
     functional_difference,
     hermite_value,
-    isonormal_values,
     make_field,
-    malliavin_derivative,
     sample,
     w,
 )
@@ -76,7 +73,7 @@ class TestSampling:
         gram = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
         space = build_space(3, gram=gram)
         xi = sample(space, np.random.default_rng(11), size=100_000)
-        vals = isonormal_values(space, xi)
+        vals = xi @ space.whitener.T  # the basis values W(h_i)
         emp = vals.T @ vals / len(vals)
         assert np.max(np.abs(emp - gram)) < 5.0 / math.sqrt(100_000)
 
@@ -140,13 +137,13 @@ class TestMalliavinDerivative:
     def test_coordinate_gradient(self):
         space = build_space(3)
         f = Functional(space, w(0))
-        grad = malliavin_derivative(f, np.zeros(3))
+        grad = f.gradient(np.zeros(3))
         assert np.allclose(grad, [1.0, 0.0, 0.0])
 
     def test_square_gradient(self):
         space = build_space(2)
         f = Functional(space, Power(w(0), 2))
-        grad = malliavin_derivative(f, np.array([3.0, 0.0]))
+        grad = f.gradient(np.array([3.0, 0.0]))
         assert np.allclose(grad, [6.0, 0.0])
 
     def test_hermite_gradient_uses_recurrence(self):
@@ -154,7 +151,7 @@ class TestMalliavinDerivative:
         space = build_space(2)
         f = Functional(space, Hermite(2, w(0)))
         pt = np.array([1.3, 0.4])
-        grad = malliavin_derivative(f, pt)
+        grad = f.gradient(pt)
         assert np.allclose(grad, [2.0 * 1.3, 0.0])
 
     def test_forward_mode_matches_finite_differences(self):
@@ -186,12 +183,6 @@ class TestFunctionalHelpers:
         diff = functional_difference(f_t, f_s)
         pt = np.array([1.0, 2.0])
         assert diff.eval(pt) == pytest.approx((4.0 - 1.0) - (1.0 - 1.0))
-
-    def test_center_by_monte_carlo(self):
-        space = build_space(1)
-        f = Functional(space, Exp(w(0)))
-        centered = center_by_monte_carlo(f, np.random.default_rng(3), n_samples=400_000)
-        assert centered.mean_shift == pytest.approx(math.sqrt(math.e), rel=0.01)
 
     def test_field_requires_shared_space(self):
         s1 = build_space(2)

