@@ -36,7 +36,6 @@ from .engine import (
     capital_delta,
     gamma_pointwise,
     ibp_residual,
-    mehler_shift,
     poincare_check,
 )
 from .comparison import (

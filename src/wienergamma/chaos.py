@@ -68,7 +68,9 @@ class ChaosForm:
         return self._weighted_gradient(x, lambda q: 1.0 / q)
 
     def _weighted_gradient(self, x, weight) -> np.ndarray:
-        grad = np.zeros_like(x)
+        # C order whatever the layout of x: a caller's matrix product with
+        # the gradient then rounds the same for every input layout.
+        grad = np.zeros(x.shape)
         for coeff, factors in self.terms:
             if not factors:
                 continue
@@ -83,7 +85,7 @@ class ChaosForm:
             for k, (i, _) in enumerate(factors):
                 part = np.full(x.shape[:-1], scale)
                 for j, v in enumerate(values):
-                    part = part * (derivs[j] if j == k else v)
+                    part *= derivs[j] if j == k else v
                 grad[..., i] += part
         return grad
 

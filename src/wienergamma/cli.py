@@ -397,7 +397,7 @@ def run_concentration(params, seed, workers, cfg):
         space = build_space(1)
         fld = make_field(space, [w(0)])
         res = concentration_check(fld, np.array([[1.0]]), np.array([params["x"]]),
-                                  n_outer, cfg, n_psd=8, seed=seed,
+                                  n_outer, cfg, n_psd=params["n_psd"], seed=seed,
                                   workers=workers)
         rows += _concentration_rows("scalar", res)
     if case in ("chaos2", "both"):
@@ -592,7 +592,7 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
     for spec in params["families"]:
         family = _family_from_spec(spec)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B]))
-        media = [Medium(family, n, coupling, gamma_diag) for coupling, gamma_diag
+        media = [Medium(n, coupling, gamma_diag) for coupling, gamma_diag
                  in zip(*medium_batch(family, n, rng, params["n_media"]))]
         for beta in params["betas"]:
             bounds = [gamma_f_bound_check(medium, beta) for medium in media]

@@ -129,17 +129,20 @@ def sample(space: WienerSpace, rng: np.random.Generator, size: int | None = None
 # ---------------------------------------------------------------------------
 
 class Expression:
-    """Base node.  Subclasses implement ``value_and_gradient``.
+    """Base node.  Subclasses implement ``value`` and ``value_and_gradient``.
 
-    ``x`` has shape (..., n); values come back with shape (...,) and gradients
-    with shape (..., n).  Every node is smooth on all of R^n.
+    ``x`` is a float array of shape (..., n), in any memory layout; values
+    come back with shape (...,) and gradients C-ordered with shape (..., n).
+    ``value`` does the value half of ``value_and_gradient`` with the same
+    operations in the same order, so both give the same bits.  Every node is
+    smooth on all of R^n.
     """
+
+    def value(self, x: np.ndarray):
+        raise NotImplementedError
 
     def value_and_gradient(self, x: np.ndarray):
         raise NotImplementedError
-
-    def value(self, x: np.ndarray):
-        return self.value_and_gradient(np.asarray(x, dtype=float))[0]
 
     def coordinates(self) -> frozenset[int]:
         raise NotImplementedError
@@ -197,11 +200,13 @@ class Coordinate(Expression):
         if self.index < 0 or self.index != int(self.index):
             raise ExpressionError(f"coordinate index must be >= 0, got {self.index}")
 
+    def value(self, x):
+        return x[..., self.index]
+
     def value_and_gradient(self, x):
-        val = x[..., self.index]
-        grad = np.zeros_like(x)
+        grad = np.zeros(x.shape)
         grad[..., self.index] = 1.0
-        return val, grad
+        return x[..., self.index], grad
 
     def coordinates(self):
         return frozenset((self.index,))
@@ -218,9 +223,11 @@ class Constant(Expression):
         if not np.isfinite(self.value_):
             raise ExpressionError(f"constant must be finite, got {self.value_}")
 
+    def value(self, x):
+        return np.full(x.shape[:-1], self.value_)
+
     def value_and_gradient(self, x):
-        val = np.full(x.shape[:-1], self.value_)
-        return val, np.zeros_like(x)
+        return self.value(x), np.zeros(x.shape)
 
     def coordinates(self):
         return frozenset()
@@ -236,6 +243,12 @@ class Sum(Expression):
     def __post_init__(self):
         if len(self.children) < 1:
             raise ExpressionError("Sum needs at least one child")
+
+    def value(self, x):
+        val = self.children[0].value(x).copy()
+        for child in self.children[1:]:
+            val += child.value(x)
+        return val
 
     def value_and_gradient(self, x):
         val, grad = self.children[0].value_and_gradient(x)
@@ -260,6 +273,12 @@ class Product(Expression):
     def __post_init__(self):
         if len(self.children) < 1:
             raise ExpressionError("Product needs at least one child")
+
+    def value(self, x):
+        val = self.children[0].value(x)
+        for child in self.children[1:]:
+            val = val * child.value(x)
+        return val
 
     def value_and_gradient(self, x):
         val, grad = self.children[0].value_and_gradient(x)
@@ -286,6 +305,9 @@ class Product(Expression):
 class Negate(Expression):
     child: Expression
 
+    def value(self, x):
+        return -self.child.value(x)
+
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)
         return -v, -g
@@ -308,6 +330,10 @@ class Power(Expression):
                 f"Power exponent must be an integer >= 1, got {self.exponent}"
             )
 
+    def value(self, x):
+        v = self.child.value(x)
+        return v if self.exponent == 1 else v**self.exponent
+
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)
         k = self.exponent
@@ -326,6 +352,11 @@ class Power(Expression):
 class Exp(Expression):
     child: Expression
 
+    def value(self, x):
+        v = self.child.value(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(v)
+
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)
         # An overflow is reported by Functional's finiteness check instead.
@@ -343,6 +374,9 @@ class Exp(Expression):
 @dataclass(frozen=True)
 class Tanh(Expression):
     child: Expression
+
+    def value(self, x):
+        return np.tanh(self.child.value(x))
 
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)
@@ -366,6 +400,9 @@ class Hermite(Expression):
     def __post_init__(self):
         if self.order < 0 or self.order != int(self.order):
             raise ExpressionError(f"Hermite order must be >= 0, got {self.order}")
+
+    def value(self, x):
+        return hermite_value(self.order, self.child.value(x))
 
     def value_and_gradient(self, x):
         v, g = self.child.value_and_gradient(x)

@@ -10,18 +10,26 @@ with x_hat an independent standard normal copy.  The u-integral is
 Gauss-Legendre; the inner expectation is Monte Carlo (optionally antithetic).
 
 ``mehler_integral`` is the single u-quadrature: it sums ``term`` over the
-Mehler-shifted inner copies, and ``inner_normals`` draws those copies.  Its
-four callers differ in the points they shift, in how many copies they draw
-and in what ``term`` returns:
+Mehler-shifted inner copies, and ``inner_normals`` draws those copies.  At
+each node it writes the shifted copies into one buffer that it allocates once
+per call in the memory layout of the copies, and every shift has the bits of
+u*x + sqrt(1-u^2)*x_hat computed afresh.  Its four callers differ in the
+points they shift, in how many copies they draw and lay out, and in what
+``term`` returns:
 
-* ``gamma_pointwise``: one point, ``mc_samples`` copies, one value per copy,
-  folded over antithetic pairs afterwards;
-* ``coupled_gamma_values``: many outer points, a few copies each, one value
-  per point;
+* ``gamma_pointwise``: one point, ``mc_samples`` copies stored
+  coordinate-major, one value per copy, folded over antithetic pairs
+  afterwards;
+* ``coupled_gamma_values``: many outer points, each repeated once per copy
+  (a few copies each), one value per point;
 * ``minus_dl_gradient_estimates``: the same points and copies, one gradient
   per functional and point;
 * ``fbm.delta_fbm``: outer fBm coordinates, whose ``term`` re-solves the SDE
   on the shifted copies and returns one value per (s, t) pair and point.
+
+Gradients come back C-ordered whatever the layout of the points they are
+evaluated at, so a contraction with them rounds as it would on C-ordered
+copies.
 
 Rows that share a seed -- several phi in ``ibp_residual``, several p in
 ``poincare_check``, several (s, t) in ``fbm.delta_fbm`` -- share one Mehler
@@ -119,15 +127,6 @@ def gauss_legendre_unit(n_nodes: int):
     return nodes, weights
 
 
-def mehler_shift(omega: np.ndarray, omega_hat: np.ndarray, u: float) -> np.ndarray:
-    """The Ornstein-Uhlenbeck coupling u*omega + sqrt(1-u^2)*omega_hat."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    omega = np.asarray(omega, dtype=float)
-    omega_hat = np.asarray(omega_hat, dtype=float)
-    return u * omega + math.sqrt(1.0 - u * u) * omega_hat
-
-
 def inner_normals(rng: np.random.Generator, lead: tuple, per: int, dim: int,
                   antithetic: bool) -> np.ndarray:
     """Inner copies of shape lead + (per, dim); antithetic pairs are stacked
@@ -139,17 +138,25 @@ def inner_normals(rng: np.random.Generator, lead: tuple, per: int, dim: int,
 
 
 def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, term):
-    """Gauss-Legendre sum over u of wt * term(mehler_shift(points, inner, u))."""
+    """Gauss-Legendre sum over u of wt * term(y_u), where y_u is the
+    Ornstein-Uhlenbeck coupling u * points + sqrt(1 - u^2) * inner.
+
+    ``points`` broadcasts against ``inner``.  Every y_u is written into one
+    buffer with the shape and memory layout of ``inner``, allocated once per
+    call, so ``term`` must not keep a reference to its argument.  Adding
+    ``points`` is one long loop when they are broadcast along the contiguous
+    axis of ``inner`` or not at all; broadcast along another axis, numpy loops
+    over rows of the contiguous axis, which is slow when those rows are short.
+    """
     nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
-    # One broadcast copy makes every node's shift flat; fl(u*p) is the same
-    # wherever p was broadcast.
-    points = np.ascontiguousarray(np.broadcast_to(points, inner.shape), dtype=float)
+    shifted, moved = np.empty_like(inner), np.empty(np.shape(points))
     total = 0.0
     for u, wt in zip(nodes, weights):
-        # Kept in a local so the shifted copies stay allocated until the next
-        # node replaces them; freeing them inside term() made glibc return
-        # and re-fault the pages on every node.
-        shifted = mehler_shift(points, inner, u)
+        # fl(c*z) + fl(u*p) = fl(u*p) + fl(c*z), and fl(u*p) is the same
+        # wherever p is broadcast, so y_u has the bits of the textbook form.
+        np.multiply(points, u, out=moved)
+        np.multiply(inner, math.sqrt(1.0 - u * u), out=shifted)
+        shifted += moved
         total += wt * term(shifted)
     return total
 
@@ -170,7 +177,10 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
         raise ValueError(f"sample point must have shape ({space.dim},)")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    inner = inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic)
+    # Coordinate-major, so the gradients' column reads y[:, i] are contiguous
+    # and omega is broadcast along the contiguous axis.
+    inner = np.asfortranarray(
+        inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic))
     df = f.gradient(omega)
     per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y) @ df)
     if cfg.antithetic:
@@ -199,17 +209,27 @@ def inner_copies_per_point(cfg: MehlerConfig, n_outer: int) -> int:
     return per
 
 
-def coupled_gamma_values(f, g, points: np.ndarray, cfg: MehlerConfig,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Unbiased per-point estimates of Gamma_{F,G}(points[i]) with fresh
-    inner copies per point; shape (n_points,)."""
+def _repeated_points_and_copies(points: np.ndarray, cfg: MehlerConfig,
+                                rng: np.random.Generator):
+    """The expectation regime's (points, inner copies), both of shape
+    (n_points, per, dim): each point is repeated once per copy, which keeps
+    ``mehler_integral``'s per-node add flat where a broadcast over the few
+    copies of a point would loop over dim-long rows."""
     points = np.asarray(points, dtype=float)
     n_points, dim = points.shape
     inner = inner_normals(rng, (n_points,), inner_copies_per_point(cfg, n_points),
                           dim, cfg.antithetic)
+    return np.repeat(points[:, None, :], inner.shape[1], axis=1), inner
+
+
+def coupled_gamma_values(f, g, points: np.ndarray, cfg: MehlerConfig,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Unbiased per-point estimates of Gamma_{F,G}(points[i]) with fresh
+    inner copies per point; shape (n_points,)."""
+    repeated, inner = _repeated_points_and_copies(points, cfg, rng)
     df = f.gradient(points)  # (n_points, dim)
     # g.gradient(y) has shape (n_points, per, dim)
-    return mehler_integral(points[:, None, :], inner, cfg, lambda y: np.mean(
+    return mehler_integral(repeated, inner, cfg, lambda y: np.mean(
         np.einsum("prd,pd->pr", g.gradient(y), df), axis=1))
 
 
@@ -222,11 +242,8 @@ def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConf
     conditionally unbiased given the base point, and the map is linear, so
     differences of components estimate -D L^{-1} of the difference.
     """
-    points = np.asarray(points, dtype=float)
-    n_points, dim = points.shape
-    inner = inner_normals(rng, (n_points,), inner_copies_per_point(cfg, n_points),
-                          dim, cfg.antithetic)
-    return mehler_integral(points[:, None, :], inner, cfg, lambda y: np.stack(
+    repeated, inner = _repeated_points_and_copies(points, cfg, rng)
+    return mehler_integral(repeated, inner, cfg, lambda y: np.stack(
         [np.mean(f.gradient(y), axis=1) for f in functionals]))
 
 

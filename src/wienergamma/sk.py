@@ -280,7 +280,6 @@ IID_GAUSSIAN = MediumFamily("iid-gaussian")
 
 @dataclass(frozen=True)
 class Medium:
-    family: MediumFamily
     n: int
     coupling: np.ndarray   # (N, N) symmetric, zero diagonal
     gamma_diag: np.ndarray  # (N, N) symmetric; entry (i, j) is Gamma_{J_ij, J_ij}
@@ -341,7 +340,7 @@ def medium_batch(family: MediumFamily, n: int, rng: np.random.Generator,
 def medium_sample(family: MediumFamily, n: int, rng: np.random.Generator) -> Medium:
     """Draw one medium with its per-entry Gamma data attached."""
     couplings, gammas = medium_batch(family, n, rng, 1)
-    return Medium(family=family, n=n, coupling=couplings[0], gamma_diag=gammas[0])
+    return Medium(n=n, coupling=couplings[0], gamma_diag=gammas[0])
 
 
 # ---------------------------------------------------------------------------

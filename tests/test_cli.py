@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wienergamma import cli, engine
+from wienergamma import cli, comparison, engine
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 from wienergamma.engine import MehlerConfig
 from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
@@ -339,6 +339,27 @@ def test_ibp_check_accepts_exactly_centered_chaos_forms():
     report = run({"command": "ibp-check", "seed": 9, "workers": 1,
                   "mehler": SMALL_MEHLER, "params": {"n_outer": 500}})
     assert len(report["rows"]) == 36
+
+
+def test_scalar_concentration_honours_n_psd(monkeypatch):
+    # Gamma of w0 is the constant 1, so the rows do not depend on n_psd, but
+    # the PSD check still samples n_psd points.
+    calls = []
+    original = comparison.gamma_matrix_pointwise
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(comparison, "gamma_matrix_pointwise", counted)
+    rows = {}
+    for n_psd in (1, 5):
+        calls.clear()
+        rows[n_psd] = run({"command": "concentration", "seed": 3, "mehler": SMALL_MEHLER,
+                           "params": {"case": "scalar-gaussian", "n_outer": 2_000,
+                                      "n_psd": n_psd}})["rows"]
+        assert len(calls) == n_psd
+    assert rows[1] == rows[5]
 
 
 class TestSmokeRunners:

@@ -132,6 +132,21 @@ class TestEvaluation:
         pts = np.array([[1.0, 2.0], [3.0, -1.0]])
         assert np.allclose(f.eval(pts), [2.0, -3.0])
 
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_value_has_the_bits_of_value_and_gradient(self, dim):
+        # On C-ordered and on coordinate-major points; the gradient comes
+        # back C-ordered from both.
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(80):
+            expr = random_expression(rng, dim)
+            pts = rng.standard_normal((40, dim)) * 1.5
+            for x in (pts, np.asfortranarray(pts)):
+                with np.errstate(all="ignore"):
+                    value = expr.value(x)
+                    expected, grad = expr.value_and_gradient(x)
+                assert np.array_equal(value, expected, equal_nan=True)
+                assert grad.flags.c_contiguous
+
 
 class TestMalliavinDerivative:
     def test_coordinate_gradient(self):

@@ -5,7 +5,7 @@ import pytest
 
 from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.cli import close, upper
-from wienergamma.core import Functional, Hermite, build_space, sample, w
+from wienergamma.core import Functional, Hermite, Tanh, build_space, sample, w
 from wienergamma.engine import (
     CenteringError,
     Estimate,
@@ -16,12 +16,12 @@ from wienergamma.engine import (
     gauss_legendre_unit,
     ibp_residual,
     inner_copies_per_point,
+    inner_normals,
     mean_estimate,
     mehler_integral,
-    mehler_shift,
     poincare_check,
 )
-from util import expectation_of_product
+from util import expectation_of_product, mehler_shift
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +100,24 @@ class TestMehlerShift:
         assert abs(np.mean(sq) - 1.0) < 3.0 * se_var
 
 
+def pointwise_reference(f, g, omega, cfg: MehlerConfig) -> Estimate:
+    """``gamma_pointwise`` with a fresh C-ordered shift at every node."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    inner = inner_normals(rng, (), cfg.mc_samples, omega.size, cfg.antithetic)
+    df = f.gradient(omega)
+    nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
+    per_sample = 0.0
+    for u, wt in zip(nodes, weights):
+        per_sample += wt * (g.gradient(mehler_shift(omega, inner, u)) @ df)
+    half = inner.shape[0] // 2
+    return mean_estimate([0.5 * (per_sample[:half] + per_sample[half:])])
+
+
 class TestMehlerIntegral:
     def test_point_broadcast_matches_per_node_shift(self):
-        # One (dim,) point against (per, dim) inner copies: the broadcast copy
-        # must give the same bits as shifting the point at every node.
+        # One (dim,) point against (per, dim) inner copies, stored C-ordered
+        # or coordinate-major: the reused buffer must hold the same bits as
+        # shifting the point afresh at every node.
         rng = np.random.default_rng(4)
         point, inner = rng.standard_normal(3), rng.standard_normal((10, 3))
         cfg = MehlerConfig(quad_nodes=6)
@@ -115,7 +129,22 @@ class TestMehlerIntegral:
         expected = 0.0
         for u, wt in zip(nodes, weights):
             expected += wt * term(mehler_shift(point, inner, u))
-        assert np.array_equal(mehler_integral(point, inner, cfg, term), expected)
+        for layout in (inner, np.asfortranarray(inner)):
+            assert np.array_equal(mehler_integral(point, layout, cfg, term), expected)
+
+    def test_pointwise_matches_c_layout_reference(self):
+        # Pins the layout the contraction with DF sees: a gradient in another
+        # memory order moves the matrix product's last bits.
+        space = build_space(4)
+        cfg = MehlerConfig(quad_nodes=8, mc_samples=2048, seed=3)
+        # The suite's dot products have at most two nonzero terms, which no
+        # summation order rounds differently; these two have four.
+        dense = form(space, (1.0, ((0, 1),)), (0.5, ((1, 2),)), (-0.7, ((2, 1), (3, 1))))
+        tree = Functional(space, Tanh(0.7 * w(0) - 0.4 * w(1) + 0.3 * w(2) + 0.9 * w(3)))
+        pairs = [(f, g) for _, f, g in oracle_suite(space)] + [(dense, dense), (tree, tree)]
+        for omega in (np.zeros(4), np.array([0.8, -1.1, 0.4, 1.7])):
+            for f, g in pairs:
+                assert gamma_pointwise(f, g, omega, cfg) == pointwise_reference(f, g, omega, cfg)
 
 
 class TestGammaPointwise:

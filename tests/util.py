@@ -1,9 +1,10 @@
 """Shared test helpers: random expression generator and small oracles.
 
 The oracles here check the package from outside and are not used by any
-command: an expression printer for the parser round-trip, the soft-max
-interpolation phi(t) whose derivative ``sf_phi_prime`` estimates, the exact
-E[FG] of two chaos forms and the expression tree of a chaos form.
+command: an expression printer for the parser round-trip, the Mehler shift of
+one quadrature node, the soft-max interpolation phi(t) whose derivative
+``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms and the
+expression tree of a chaos form.
 """
 
 from __future__ import annotations
@@ -123,6 +124,15 @@ def _paren_base(node: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Exact and Monte Carlo oracles
 # ---------------------------------------------------------------------------
+
+def mehler_shift(omega: np.ndarray, omega_hat: np.ndarray, u: float) -> np.ndarray:
+    """The Ornstein-Uhlenbeck coupling u*omega + sqrt(1-u^2)*omega_hat."""
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"u must lie in [0, 1], got {u}")
+    omega = np.asarray(omega, dtype=float)
+    omega_hat = np.asarray(omega_hat, dtype=float)
+    return u * omega + math.sqrt(1.0 - u * u) * omega_hat
+
 
 def sf_phi_value(pair: FieldPair, t: float, beta: float, n_outer: int,
                  seed: int = 0, workers: int = 1) -> Estimate:
