@@ -21,7 +21,6 @@ from .core import (
     WienerSpace,
     WienerSpaceError,
     build_space,
-    functional_difference,
     hermite_value,
     make_field,
     sample,
@@ -33,7 +32,6 @@ from .engine import (
     CenteringError,
     Estimate,
     MehlerConfig,
-    capital_delta,
     gamma_pointwise,
     ibp_residual,
     poincare_check,
@@ -46,7 +44,6 @@ from .comparison import (
     operator_norm,
     sf_phi_prime,
     slepian_phi_prime,
-    softmax_sup,
 )
 from .fbm import (
     DriftSpec,
@@ -67,6 +64,5 @@ from .sk import (
     free_energy_exact,
     gamma_f_bound_check,
     generic_bound_check,
-    hamiltonian,
     medium_sample,
 )

@@ -58,19 +58,30 @@ class ChaosForm:
             total += term
         return total
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, x, along=None) -> np.ndarray:
+        """DF(x), C-ordered with shape (..., n); with ``along``, which
+        broadcasts against ``x``, the derivative <DF(x), along> instead."""
         x = np.asarray(x, dtype=float)
-        return self._weighted_gradient(x, lambda q: 1.0)
+        if along is not None:
+            along = np.asarray(along, dtype=float)
+        return self._weighted_gradient(x, lambda q: 1.0, along)
 
     def minus_dl_gradient(self, x) -> np.ndarray:
         """Gradient of -L^{-1} applied to the form: term of order q scaled by 1/q."""
         x = np.asarray(x, dtype=float)
         return self._weighted_gradient(x, lambda q: 1.0 / q)
 
-    def _weighted_gradient(self, x, weight) -> np.ndarray:
+    def _weighted_gradient(self, x, weight, along=None) -> np.ndarray:
         # C order whatever the layout of x: a caller's matrix product with
-        # the gradient then rounds the same for every input layout.
-        grad = np.zeros(x.shape)
+        # the gradient then rounds the same for every input layout.  Along a
+        # direction, each partial derivative is multiplied by its entry of
+        # the direction last, after the product of its factors.
+        if along is None:
+            shape = x.shape[:-1]
+            grad = np.zeros(x.shape)
+        else:
+            shape = np.broadcast_shapes(x.shape, along.shape)[:-1]
+            grad = np.zeros(shape)
         for coeff, factors in self.terms:
             if not factors:
                 continue
@@ -83,10 +94,14 @@ class ChaosForm:
                 values.append(hq)
                 derivs.append(q * hq_minus)
             for k, (i, _) in enumerate(factors):
-                part = np.full(x.shape[:-1], scale)
+                part = np.full(shape, scale)
                 for j, v in enumerate(values):
                     part *= derivs[j] if j == k else v
-                grad[..., i] += part
+                if along is None:
+                    grad[..., i] += part
+                else:
+                    part *= along[..., i]
+                    grad += part
         return grad
 
     # The Monte Carlo engine works through this Functional-like surface.

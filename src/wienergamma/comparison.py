@@ -52,15 +52,6 @@ def default_t_grid(n_points: int = 21) -> np.ndarray:
 # Soft-max machinery
 # ---------------------------------------------------------------------------
 
-def softmax_sup(beta: float, v: np.ndarray) -> np.ndarray:
-    """(1/beta) log sum_i exp(beta v_i): between max(v) and max(v) + log(d)/beta."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    v = np.asarray(v, dtype=float)
-    m = np.max(v, axis=-1)
-    return m + np.log(np.sum(np.exp(beta * (v - m[..., None])), axis=-1)) / beta
-
-
 def h_weights(t: float, beta: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Soft-max weights of the interpolated field sqrt(1-t) y + sqrt(t) x."""
     if not 0.0 < t < 1.0:

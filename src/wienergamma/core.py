@@ -9,7 +9,13 @@ Malliavin derivative of a functional is therefore its ordinary gradient in xi.
 
 Functionals are expression trees over a closed grammar (coordinates, constants,
 sums, products, integer powers, exp, tanh, probabilists' Hermite polynomials),
-so first derivatives are exact via forward-mode differentiation.
+so first derivatives are exact via forward-mode differentiation.  Each node
+has one derivative method, ``value_and_tangent(x, a)``: its value and the
+tangent <grad node(x), a>, the derivative along a direction ``a`` that
+broadcasts against ``x``.  A caller that needs only <DF(x), a> gets it in one
+pass over the tree at O(1) work per point and node.  The dense gradient is the
+tangent along the identity: the tree runs once at ``x[..., None, :]`` with the
+rows of ``np.eye(n)`` as directions.
 """
 
 from __future__ import annotations
@@ -129,20 +135,29 @@ def sample(space: WienerSpace, rng: np.random.Generator, size: int | None = None
 # ---------------------------------------------------------------------------
 
 class Expression:
-    """Base node.  Subclasses implement ``value`` and ``value_and_gradient``.
+    """Base node.  Subclasses implement ``value`` and ``value_and_tangent``.
 
     ``x`` is a float array of shape (..., n), in any memory layout; values
-    come back with shape (...,) and gradients C-ordered with shape (..., n).
-    ``value`` does the value half of ``value_and_gradient`` with the same
-    operations in the same order, so both give the same bits.  Every node is
-    smooth on all of R^n.
+    come back with shape (...,).  ``value_and_tangent(x, a)`` also returns
+    the tangent <grad node(x), a> for a direction ``a`` that broadcasts
+    against ``x``; the tangent broadcasts against the value and the leading
+    shape of ``a``, and may be a scalar.  ``value`` does the value half of
+    ``value_and_tangent`` with the same operations in the same order, so both
+    give the same bits.  Every node is smooth on all of R^n.
     """
 
     def value(self, x: np.ndarray):
         raise NotImplementedError
 
-    def value_and_gradient(self, x: np.ndarray):
+    def value_and_tangent(self, x: np.ndarray, a: np.ndarray):
         raise NotImplementedError
+
+    def value_and_gradient(self, x: np.ndarray):
+        """Value and the C-ordered (..., n) gradient: the tangents along the
+        n basis vectors, each with the bits of a per-node dense forward mode."""
+        x = np.asarray(x, dtype=float)
+        val, tan = self.value_and_tangent(x[..., None, :], np.eye(x.shape[-1]))
+        return val[..., 0], np.broadcast_to(tan, x.shape).copy()
 
     def coordinates(self) -> frozenset[int]:
         raise NotImplementedError
@@ -203,10 +218,8 @@ class Coordinate(Expression):
     def value(self, x):
         return x[..., self.index]
 
-    def value_and_gradient(self, x):
-        grad = np.zeros(x.shape)
-        grad[..., self.index] = 1.0
-        return x[..., self.index], grad
+    def value_and_tangent(self, x, a):
+        return x[..., self.index], a[..., self.index]
 
     def coordinates(self):
         return frozenset((self.index,))
@@ -226,8 +239,8 @@ class Constant(Expression):
     def value(self, x):
         return np.full(x.shape[:-1], self.value_)
 
-    def value_and_gradient(self, x):
-        return self.value(x), np.zeros(x.shape)
+    def value_and_tangent(self, x, a):
+        return self.value(x), 0.0
 
     def coordinates(self):
         return frozenset()
@@ -250,14 +263,14 @@ class Sum(Expression):
             val += child.value(x)
         return val
 
-    def value_and_gradient(self, x):
-        val, grad = self.children[0].value_and_gradient(x)
-        val, grad = val.copy(), grad.copy()
+    def value_and_tangent(self, x, a):
+        val, tan = self.children[0].value_and_tangent(x, a)
+        val = val.copy()
         for child in self.children[1:]:
-            v, g = child.value_and_gradient(x)
+            v, t = child.value_and_tangent(x, a)
             val += v
-            grad += g
-        return val, grad
+            tan = tan + t
+        return val, tan
 
     def coordinates(self):
         return frozenset().union(*(c.coordinates() for c in self.children))
@@ -280,15 +293,13 @@ class Product(Expression):
             val = val * child.value(x)
         return val
 
-    def value_and_gradient(self, x):
-        val, grad = self.children[0].value_and_gradient(x)
-        val, grad = val.copy(), grad.copy()
+    def value_and_tangent(self, x, a):
+        val, tan = self.children[0].value_and_tangent(x, a)
         for child in self.children[1:]:
-            v, g = child.value_and_gradient(x)
-            grad *= v[..., None]
-            grad += val[..., None] * g
+            v, t = child.value_and_tangent(x, a)
+            tan = tan * v + val * t
             val = val * v
-        return val, grad
+        return val, tan
 
     def coordinates(self):
         return frozenset().union(*(c.coordinates() for c in self.children))
@@ -308,9 +319,9 @@ class Negate(Expression):
     def value(self, x):
         return -self.child.value(x)
 
-    def value_and_gradient(self, x):
-        v, g = self.child.value_and_gradient(x)
-        return -v, -g
+    def value_and_tangent(self, x, a):
+        v, t = self.child.value_and_tangent(x, a)
+        return -v, -t
 
     def coordinates(self):
         return self.child.coordinates()
@@ -330,16 +341,18 @@ class Power(Expression):
                 f"Power exponent must be an integer >= 1, got {self.exponent}"
             )
 
+    # np.power rather than ``**``: a numpy scalar's ``**`` rounds apart from
+    # the ufunc, so one point (..., n) would get other bits than a batch.
     def value(self, x):
         v = self.child.value(x)
-        return v if self.exponent == 1 else v**self.exponent
+        return v if self.exponent == 1 else np.power(v, self.exponent)
 
-    def value_and_gradient(self, x):
-        v, g = self.child.value_and_gradient(x)
+    def value_and_tangent(self, x, a):
+        v, t = self.child.value_and_tangent(x, a)
         k = self.exponent
         if k == 1:
-            return v, g
-        return v**k, (k * v ** (k - 1))[..., None] * g
+            return v, t
+        return np.power(v, k), (k * np.power(v, k - 1)) * t
 
     def coordinates(self):
         return self.child.coordinates()
@@ -357,12 +370,12 @@ class Exp(Expression):
         with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(v)
 
-    def value_and_gradient(self, x):
-        v, g = self.child.value_and_gradient(x)
+    def value_and_tangent(self, x, a):
+        v, t = self.child.value_and_tangent(x, a)
         # An overflow is reported by Functional's finiteness check instead.
         with np.errstate(over="ignore", invalid="ignore"):
             ev = np.exp(v)
-            return ev, ev[..., None] * g
+            return ev, ev * t
 
     def coordinates(self):
         return self.child.coordinates()
@@ -378,10 +391,10 @@ class Tanh(Expression):
     def value(self, x):
         return np.tanh(self.child.value(x))
 
-    def value_and_gradient(self, x):
-        v, g = self.child.value_and_gradient(x)
+    def value_and_tangent(self, x, a):
+        v, t = self.child.value_and_tangent(x, a)
         tv = np.tanh(v)
-        return tv, (1.0 - tv * tv)[..., None] * g
+        return tv, (1.0 - tv * tv) * t
 
     def coordinates(self):
         return self.child.coordinates()
@@ -404,10 +417,10 @@ class Hermite(Expression):
     def value(self, x):
         return hermite_value(self.order, self.child.value(x))
 
-    def value_and_gradient(self, x):
-        v, g = self.child.value_and_gradient(x)
+    def value_and_tangent(self, x, a):
+        v, t = self.child.value_and_tangent(x, a)
         hq, hq_minus = hermite_pair(self.order, v)
-        return hq, (self.order * hq_minus)[..., None] * g
+        return hq, (self.order * hq_minus) * t
 
     def coordinates(self):
         return self.child.coordinates()
@@ -449,9 +462,17 @@ class Functional:
         _check_finite(val, "functional value")
         return val
 
-    def gradient(self, x) -> np.ndarray:
+    def gradient(self, x, along=None) -> np.ndarray:
+        """DF(x), C-ordered with shape (..., n); with ``along``, which
+        broadcasts against ``x``, the derivative <DF(x), along> instead."""
         x = np.asarray(x, dtype=float)
-        _, grad = self.expr.value_and_gradient(x)
+        if along is None:
+            _, grad = self.expr.value_and_gradient(x)
+        else:
+            along = np.asarray(along, dtype=float)
+            _, tan = self.expr.value_and_tangent(x, along)
+            shape = np.broadcast_shapes(x.shape, along.shape)[:-1]
+            grad = np.broadcast_to(tan, shape).copy()
         _check_finite(grad, "functional gradient")
         return grad
 
@@ -467,17 +488,6 @@ class Functional:
 def _check_finite(a, what: str):
     if not np.all(np.isfinite(a)):
         raise EvaluationOverflow(f"{what} is not finite")
-
-
-def functional_difference(f_t: Functional, f_s: Functional) -> Functional:
-    """The functional f_t - f_s (shared space required)."""
-    if f_t.space is not f_s.space and not np.array_equal(f_t.space.gram, f_s.space.gram):
-        raise WienerSpaceError("functionals live on different spaces")
-    return Functional(
-        f_t.space,
-        Sum((f_t.expr, Negate(f_s.expr))),
-        f_t.mean_shift - f_s.mean_shift,
-    )
 
 
 @dataclass(frozen=True)

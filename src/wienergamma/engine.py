@@ -18,18 +18,21 @@ points they shift, in how many copies they draw and lay out, and in what
 ``term`` returns:
 
 * ``gamma_pointwise``: one point, ``mc_samples`` copies stored
-  coordinate-major, one value per copy, folded over antithetic pairs
-  afterwards;
+  coordinate-major, one value <DG(y), DF(omega)> per copy, folded over
+  antithetic pairs afterwards;
 * ``coupled_gamma_values``: many outer points, each repeated once per copy
-  (a few copies each), one value per point;
+  (a few copies each), the mean of <DG(y), DF(point)> over a point's copies;
 * ``minus_dl_gradient_estimates``: the same points and copies, one gradient
   per functional and point;
 * ``fbm.delta_fbm``: outer fBm coordinates, whose ``term`` re-solves the SDE
   on the shifted copies and returns one value per (s, t) pair and point.
 
-Gradients come back C-ordered whatever the layout of the points they are
-evaluated at, so a contraction with them rounds as it would on C-ordered
-copies.
+The two Gamma integrands need only the number <DG(y), DF>, so they take it as
+``g.gradient(y, df)``, the derivative of G along DF in one forward pass,
+without a dense (..., n) gradient or a matrix product per node.  Its bits
+do not depend on the memory layout of the copies.  Dense gradients, which
+``minus_dl_gradient_estimates`` still builds, come back C-ordered whatever
+the layout of the points.
 
 Rows that share a seed -- several phi in ``ibp_residual``, several p in
 ``poincare_check``, several (s, t) in ``fbm.delta_fbm`` -- share one Mehler
@@ -57,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Functional, functional_difference, sample
+from .core import sample
 
 
 class CenteringError(ValueError):
@@ -166,7 +169,7 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
     """Estimate Gamma_{F,G} at one sample point.
 
     ``f`` and ``g`` can be Functionals or chaos forms -- anything with a
-    ``space`` and a ``gradient`` method.  Inner copies are shared across
+    ``space`` and a ``gradient(x, along=None)`` method.  Inner copies are shared across
     quadrature nodes (common random numbers); with antithetic sampling the
     +/- pair average is the independent unit for the standard error, which
     reflects Monte Carlo variation only.
@@ -182,19 +185,11 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
     inner = np.asfortranarray(
         inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic))
     df = f.gradient(omega)
-    per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y) @ df)
+    per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y, df))
     if cfg.antithetic:
         half = inner.shape[0] // 2
         per_sample = 0.5 * (per_sample[:half] + per_sample[half:])
     return mean_estimate([per_sample])
-
-
-def capital_delta(f_s: Functional, f_t: Functional, omega: np.ndarray,
-                  cfg: MehlerConfig,
-                  rng: np.random.Generator | None = None) -> Estimate:
-    """Delta_F(s, t) = Gamma applied twice to the difference F_t - F_s."""
-    diff = functional_difference(f_t, f_s)
-    return gamma_pointwise(diff, diff, omega, cfg, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +222,10 @@ def coupled_gamma_values(f, g, points: np.ndarray, cfg: MehlerConfig,
     """Unbiased per-point estimates of Gamma_{F,G}(points[i]) with fresh
     inner copies per point; shape (n_points,)."""
     repeated, inner = _repeated_points_and_copies(points, cfg, rng)
-    df = f.gradient(points)  # (n_points, dim)
-    # g.gradient(y) has shape (n_points, per, dim)
-    return mehler_integral(repeated, inner, cfg, lambda y: np.mean(
-        np.einsum("prd,pd->pr", g.gradient(y), df), axis=1))
+    # DF at each point, broadcast over its copies: y has shape (n_points, per, dim).
+    df = f.gradient(points)[:, None, :]
+    return mehler_integral(repeated, inner, cfg,
+                           lambda y: np.mean(g.gradient(y, df), axis=1))
 
 
 def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConfig,

@@ -49,14 +49,6 @@ def upper_pairs(n: int):
     return rows, cols
 
 
-def hamiltonian(sigma: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """H(sigma) for one configuration (N,) or a stack (..., N)."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = coupling.shape[0]
-    quad = np.einsum("...i,ij,...j->...", sigma, coupling, sigma)
-    return quad / math.sqrt(2.0 * n)
-
-
 # ---------------------------------------------------------------------------
 # Exact enumeration
 # ---------------------------------------------------------------------------

@@ -27,15 +27,15 @@ from wienergamma.cli import (
     upper,
     write_report,
 )
-from wienergamma.comparison import softmax_sup
 from wienergamma.core import Functional, build_space, sample, w
-from wienergamma.engine import MehlerConfig, capital_delta, gamma_pointwise, poincare_check
+from wienergamma.engine import MehlerConfig, gamma_pointwise, poincare_check
 from wienergamma.sk import (
     IID_GAUSSIAN,
     free_energy_exact,
     free_energy_reference,
     medium_sample,
 )
+from util import capital_delta, softmax_sup
 
 ACCEPTANCE_CFG = MehlerConfig(quad_nodes=64, mc_samples=20_000, seed=0)
 DEFAULT_CFG = MehlerConfig(seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.core import ExpressionError, build_space, sample
-from util import chaos_to_functional, expectation_of_product
+from util import assert_tangent_close, chaos_to_functional, expectation_of_product, point_layouts
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,32 @@ class TestFunctionalBridge:
         pts = sample(space4, rng, 50)
         assert np.allclose(func.eval(pts), f.value(pts), atol=1e-12)
         assert np.allclose(func.gradient(pts), f.gradient(pts), atol=1e-12)
+
+
+def random_form(rng: np.random.Generator, space):
+    """One to three terms of order <= 4 per factor over distinct coordinates;
+    a term may be constant."""
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        size = int(rng.integers(0, min(3, space.dim) + 1))
+        coords = rng.choice(space.dim, size=size, replace=False)
+        factors = tuple((int(i), int(rng.integers(1, 5))) for i in coords)
+        terms.append((float(rng.uniform(-2.0, 2.0)), factors))
+    return form(space, *terms)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_gradient_along_a_direction_contracts_the_dense_one(dim):
+    rng = np.random.default_rng(500 + dim)
+    space = build_space(dim)
+    for _ in range(30):
+        f = random_form(rng, space)
+        for x in point_layouts(rng, dim):
+            dense = f._weighted_gradient(x, lambda q: 1.0)
+            assert np.array_equal(f.gradient(x), dense)
+            assert f.gradient(x).flags.c_contiguous
+            for along in (rng.standard_normal(dim), rng.standard_normal((4, 1, dim))):
+                assert_tangent_close(f.gradient(x, along=along), dense, along)
 
 
 def test_oracle_suite_shape(space4):

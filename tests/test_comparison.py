@@ -22,7 +22,6 @@ from wienergamma.comparison import (
     quadratic_function,
     sf_phi_prime,
     slepian_phi_prime,
-    softmax_sup,
     validate_perturbation,
 )
 from wienergamma.core import (
@@ -33,7 +32,7 @@ from wienergamma.core import (
     w,
 )
 from wienergamma.engine import MehlerConfig
-from util import sf_phi_value
+from util import sf_phi_value, softmax_sup
 
 
 def psd_passed(res) -> bool:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wienergamma.core import (
+    Constant,
     Coordinate,
     EvaluationOverflow,
     Exp,
@@ -14,13 +15,19 @@ from wienergamma.core import (
     RandomField,
     WienerSpaceError,
     build_space,
-    functional_difference,
     hermite_value,
     make_field,
     sample,
     w,
 )
-from util import central_difference_gradient, random_expression
+from util import (
+    assert_tangent_close,
+    central_difference_gradient,
+    dense_value_and_gradient,
+    functional_difference,
+    point_layouts,
+    random_expression,
+)
 
 
 class TestBuildSpace:
@@ -134,17 +141,18 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("dim", [1, 3, 6])
     def test_value_has_the_bits_of_value_and_gradient(self, dim):
-        # On C-ordered and on coordinate-major points; the gradient comes
-        # back C-ordered from both.
+        # On one point and on C-ordered and coordinate-major batches; the
+        # gradient comes back C-ordered from all of them.
         rng = np.random.default_rng(300 + dim)
         for _ in range(80):
             expr = random_expression(rng, dim)
-            pts = rng.standard_normal((40, dim)) * 1.5
-            for x in (pts, np.asfortranarray(pts)):
+            for x in point_layouts(rng, dim):
                 with np.errstate(all="ignore"):
                     value = expr.value(x)
                     expected, grad = expr.value_and_gradient(x)
+                    along, _ = expr.value_and_tangent(x, np.ones(dim))
                 assert np.array_equal(value, expected, equal_nan=True)
+                assert np.array_equal(value, along, equal_nan=True)
                 assert grad.flags.c_contiguous
 
 
@@ -188,6 +196,48 @@ class TestMalliavinDerivative:
                 scale = max(1.0, float(np.max(np.abs(grads[k]))))
                 assert np.max(np.abs(fd - grads[k])) <= 1e-6 * scale
             checked += 1
+
+
+class TestTangents:
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_gradients_match_the_dense_oracle(self, dim):
+        # The dense gradient is the tangent along the identity, with the bits
+        # of a forward mode that carries a full gradient through every node;
+        # the tangent along a direction is its contraction up to rounding.
+        rng = np.random.default_rng(400 + dim)
+        space = build_space(dim)
+        for _ in range(40):
+            expr = random_expression(rng, dim)
+            f = Functional(space, expr)
+            for x in point_layouts(rng, dim):
+                with np.errstate(all="ignore"):
+                    value, grad = dense_value_and_gradient(expr, x)
+                    got_value, got_grad = expr.value_and_gradient(x)
+                assert np.array_equal(got_value, value, equal_nan=True)
+                assert np.array_equal(got_grad, grad, equal_nan=True)
+                assert got_grad.flags.c_contiguous
+                if not np.all(np.isfinite(grad)):
+                    continue
+                assert np.array_equal(f.gradient(x), grad)
+                for along in (rng.standard_normal(dim), rng.standard_normal((4, 1, dim))):
+                    assert_tangent_close(f.gradient(x, along=along), grad, along)
+
+    def test_overflow_raises_along_any_direction(self):
+        # exp(exp(7)) overflows; inf * 0 is NaN, so a direction that is 0 on
+        # the overflowing coordinate still raises.
+        f = Functional(build_space(2), Exp(Exp(w(0))) + w(1))
+        x = np.array([7.0, 0.0])
+        with pytest.raises(EvaluationOverflow):
+            f.gradient(x)
+        with pytest.raises(EvaluationOverflow):
+            f.gradient(x, along=[0.0, 1.0])
+
+    def test_constant_tangent_has_the_points_shape(self):
+        f = Functional(build_space(3), Constant(2.5))
+        x = np.ones((5, 2, 3))
+        got = f.gradient(x, along=np.ones(3))
+        assert got.shape == (5, 2)
+        assert np.array_equal(got, np.zeros((5, 2)))
 
 
 class TestFunctionalHelpers:

@@ -10,7 +10,6 @@ from wienergamma.engine import (
     CenteringError,
     Estimate,
     MehlerConfig,
-    capital_delta,
     coupled_gamma_values,
     gamma_pointwise,
     gauss_legendre_unit,
@@ -21,7 +20,7 @@ from wienergamma.engine import (
     mehler_integral,
     poincare_check,
 )
-from util import expectation_of_product, mehler_shift
+from util import capital_delta, expectation_of_product, functional_difference, mehler_shift
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +99,16 @@ class TestMehlerShift:
         assert abs(np.mean(sq) - 1.0) < 3.0 * se_var
 
 
-def pointwise_reference(f, g, omega, cfg: MehlerConfig) -> Estimate:
-    """``gamma_pointwise`` with a fresh C-ordered shift at every node."""
+def pointwise_reference(f, g, omega, cfg: MehlerConfig, contract) -> Estimate:
+    """``gamma_pointwise`` with a fresh C-ordered shift at every node, where
+    ``contract(g, y, df)`` gives <DG(y), DF> for every copy in ``y``."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     inner = inner_normals(rng, (), cfg.mc_samples, omega.size, cfg.antithetic)
     df = f.gradient(omega)
     nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
     per_sample = 0.0
     for u, wt in zip(nodes, weights):
-        per_sample += wt * (g.gradient(mehler_shift(omega, inner, u)) @ df)
+        per_sample += wt * contract(g, mehler_shift(omega, inner, u), df)
     half = inner.shape[0] // 2
     return mean_estimate([0.5 * (per_sample[:half] + per_sample[half:])])
 
@@ -132,19 +132,38 @@ class TestMehlerIntegral:
         for layout in (inner, np.asfortranarray(inner)):
             assert np.array_equal(mehler_integral(point, layout, cfg, term), expected)
 
-    def test_pointwise_matches_c_layout_reference(self):
-        # Pins the layout the contraction with DF sees: a gradient in another
-        # memory order moves the matrix product's last bits.
+    @staticmethod
+    def pointwise_cases():
         space = build_space(4)
-        cfg = MehlerConfig(quad_nodes=8, mc_samples=2048, seed=3)
-        # The suite's dot products have at most two nonzero terms, which no
-        # summation order rounds differently; these two have four.
+        # The suite's dot products have at most two nonzero terms; these two
+        # have four.
         dense = form(space, (1.0, ((0, 1),)), (0.5, ((1, 2),)), (-0.7, ((2, 1), (3, 1))))
         tree = Functional(space, Tanh(0.7 * w(0) - 0.4 * w(1) + 0.3 * w(2) + 0.9 * w(3)))
         pairs = [(f, g) for _, f, g in oracle_suite(space)] + [(dense, dense), (tree, tree)]
+        cfg = MehlerConfig(quad_nodes=8, mc_samples=2048, seed=3)
         for omega in (np.zeros(4), np.array([0.8, -1.1, 0.4, 1.7])):
             for f, g in pairs:
-                assert gamma_pointwise(f, g, omega, cfg) == pointwise_reference(f, g, omega, cfg)
+                yield f, g, omega, cfg
+
+    def test_pointwise_matches_per_node_reference(self):
+        # The reused coordinate-major buffer gives the bits of a fresh
+        # C-ordered shift at every node, contracted along DF the same way.
+        for f, g, omega, cfg in self.pointwise_cases():
+            expected = pointwise_reference(f, g, omega, cfg,
+                                           lambda g, y, df: g.gradient(y, df))
+            assert gamma_pointwise(f, g, omega, cfg) == expected
+
+    def test_pointwise_agrees_with_dense_contraction(self):
+        # The tangent along DF sums <DG, DF> in another order than a matrix
+        # product with the dense gradient, so only the last bits may differ.
+        # Where Gamma is deterministic the SE is rounding noise of the
+        # samples, so it is compared on the scale of the samples.
+        for f, g, omega, cfg in self.pointwise_cases():
+            dense = pointwise_reference(f, g, omega, cfg, lambda g, y, df: g.gradient(y) @ df)
+            est = gamma_pointwise(f, g, omega, cfg)
+            scale = abs(dense.value) + dense.std_error
+            assert abs(est.value - dense.value) <= 1e-13 * abs(dense.value)
+            assert abs(est.std_error - dense.std_error) <= 1e-13 * scale
 
 
 class TestGammaPointwise:
@@ -261,8 +280,6 @@ class TestCapitalDelta:
         # Delta can be negative pointwise; its mean cannot (it is E[(F_t-F_s)^2]).
         rng = np.random.default_rng(30)
         cfg = MehlerConfig(quad_nodes=16, mc_samples=2048, seed=9)
-        from wienergamma.core import functional_difference
-
         f_s = Functional(space4, Hermite(2, w(0)))
         f_t = Functional(space4, Hermite(3, w(1)) * 0.5)
         diff = functional_difference(f_t, f_s)

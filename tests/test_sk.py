@@ -21,13 +21,13 @@ from wienergamma.sk import (
     gamma_f_bound_check,
     generic_bound_check,
     gibbs_weights,
-    hamiltonian,
     medium_batch,
     medium_sample,
     paired_chaos2_gap,
     spin_correlations,
     upper_pairs,
 )
+from util import hamiltonian
 
 CORRELATED = MediumFamily("correlated-gaussian", r=3.0)
 

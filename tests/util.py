@@ -1,10 +1,12 @@
 """Shared test helpers: random expression generator and small oracles.
 
 The oracles here check the package from outside and are not used by any
-command: an expression printer for the parser round-trip, the Mehler shift of
-one quadrature node, the soft-max interpolation phi(t) whose derivative
-``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms and the
-expression tree of a chaos form.
+command: a per-node dense forward mode for expression gradients, an
+expression printer for the parser round-trip, the Mehler shift of one
+quadrature node, the soft-max sup and the interpolation phi(t) whose
+derivative ``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms, the
+expression tree of a chaos form, the difference of two functionals with its
+Delta(s, t), and the SK Hamiltonian.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from wienergamma.chaos import ChaosForm
-from wienergamma.comparison import FieldPair, softmax_sup
+from wienergamma.comparison import FieldPair
 from wienergamma.core import (
     Constant,
     Coordinate,
@@ -27,9 +29,11 @@ from wienergamma.core import (
     Product,
     Sum,
     Tanh,
+    WienerSpaceError,
+    hermite_pair,
     sample,
 )
-from wienergamma.engine import Estimate, mean_estimate
+from wienergamma.engine import Estimate, MehlerConfig, gamma_pointwise, mean_estimate
 from wienergamma.parallel import run_chunked
 
 
@@ -71,6 +75,76 @@ def central_difference_gradient(expr, x: np.ndarray, step: float = 1e-5) -> np.n
         dn[i] -= step
         grad[i] = (expr.value(up) - expr.value(dn)) / (2.0 * step)
     return grad
+
+
+def dense_value_and_gradient(expr: Expression, x: np.ndarray):
+    """Value and C-ordered (..., n) gradient by a dense forward mode that
+    carries a full gradient through every node."""
+    if isinstance(expr, Coordinate):
+        grad = np.zeros(x.shape)
+        grad[..., expr.index] = 1.0
+        return x[..., expr.index], grad
+    if isinstance(expr, Constant):
+        return expr.value(x), np.zeros(x.shape)
+    if isinstance(expr, Sum):
+        val, grad = dense_value_and_gradient(expr.children[0], x)
+        val, grad = val.copy(), grad.copy()
+        for child in expr.children[1:]:
+            v, g = dense_value_and_gradient(child, x)
+            val += v
+            grad += g
+        return val, grad
+    if isinstance(expr, Product):
+        val, grad = dense_value_and_gradient(expr.children[0], x)
+        val, grad = val.copy(), grad.copy()
+        for child in expr.children[1:]:
+            v, g = dense_value_and_gradient(child, x)
+            grad *= v[..., None]
+            grad += val[..., None] * g
+            val = val * v
+        return val, grad
+    if isinstance(expr, Negate):
+        v, g = dense_value_and_gradient(expr.child, x)
+        return -v, -g
+    v, g = dense_value_and_gradient(expr.child, x)
+    if isinstance(expr, Power):
+        k = expr.exponent
+        if k == 1:
+            return v, g
+        return np.power(v, k), (k * np.power(v, k - 1))[..., None] * g
+    if isinstance(expr, Exp):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev = np.exp(v)
+            return ev, ev[..., None] * g
+    if isinstance(expr, Tanh):
+        tv = np.tanh(v)
+        return tv, (1.0 - tv * tv)[..., None] * g
+    if isinstance(expr, Hermite):
+        hq, hq_minus = hermite_pair(expr.order, v)
+        return hq, (expr.order * hq_minus)[..., None] * g
+    raise TypeError(f"unknown node type {type(expr).__name__}")
+
+
+def point_layouts(rng: np.random.Generator, dim: int):
+    """Points shaped (n,), (4, n) and (4, 3, n); the batched ones both
+    C-ordered and coordinate-major."""
+    for shape in ((dim,), (4, dim), (4, 3, dim)):
+        pts = rng.standard_normal(shape) * 1.5
+        yield pts
+        if len(shape) > 1:
+            yield np.asfortranarray(pts)
+
+
+def assert_tangent_close(got: np.ndarray, grad: np.ndarray, along: np.ndarray,
+                         rtol: float = 1e-13):
+    """``got`` is the einsum contraction <grad, along> over the broadcast
+    shape, within ``rtol`` of sum_i |grad_i along_i|."""
+    shape = np.broadcast_shapes(grad.shape, along.shape)
+    g, a = np.broadcast_to(grad, shape), np.broadcast_to(along, shape)
+    expected = np.einsum("...i,...i->...", g, a)
+    scale = np.einsum("...i,...i->...", np.abs(g), np.abs(a))
+    assert got.shape == shape[:-1]
+    assert np.all(np.abs(got - expected) <= rtol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +208,15 @@ def mehler_shift(omega: np.ndarray, omega_hat: np.ndarray, u: float) -> np.ndarr
     return u * omega + math.sqrt(1.0 - u * u) * omega_hat
 
 
+def softmax_sup(beta: float, v: np.ndarray) -> np.ndarray:
+    """(1/beta) log sum_i exp(beta v_i): between max(v) and max(v) + log(d)/beta."""
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+    v = np.asarray(v, dtype=float)
+    m = np.max(v, axis=-1)
+    return m + np.log(np.sum(np.exp(beta * (v - m[..., None])), axis=-1)) / beta
+
+
 def sf_phi_value(pair: FieldPair, t: float, beta: float, n_outer: int,
                  seed: int = 0, workers: int = 1) -> Estimate:
     """phi(t) = (1/beta) E log sum_i exp(beta (sqrt(1-t) G_i + sqrt(t) F_i))."""
@@ -172,3 +255,30 @@ def chaos_to_functional(f: ChaosForm) -> Functional:
         term_exprs = [Constant(0.0)]
     expr = term_exprs[0] if len(term_exprs) == 1 else Sum(tuple(term_exprs))
     return Functional(f.space, expr)
+
+
+def functional_difference(f_t: Functional, f_s: Functional) -> Functional:
+    """The functional f_t - f_s (shared space required)."""
+    if f_t.space is not f_s.space and not np.array_equal(f_t.space.gram, f_s.space.gram):
+        raise WienerSpaceError("functionals live on different spaces")
+    return Functional(
+        f_t.space,
+        Sum((f_t.expr, Negate(f_s.expr))),
+        f_t.mean_shift - f_s.mean_shift,
+    )
+
+
+def capital_delta(f_s: Functional, f_t: Functional, omega: np.ndarray,
+                  cfg: MehlerConfig,
+                  rng: np.random.Generator | None = None) -> Estimate:
+    """Delta_F(s, t) = Gamma applied twice to the difference F_t - F_s."""
+    diff = functional_difference(f_t, f_s)
+    return gamma_pointwise(diff, diff, omega, cfg, rng=rng)
+
+
+def hamiltonian(sigma: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """SK H(sigma) for one configuration (N,) or a stack (..., N)."""
+    sigma = np.asarray(sigma, dtype=float)
+    n = coupling.shape[0]
+    quad = np.einsum("...i,ij,...j->...", sigma, coupling, sigma)
+    return quad / math.sqrt(2.0 * n)
