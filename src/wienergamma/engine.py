@@ -169,10 +169,10 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
     """Estimate Gamma_{F,G} at one sample point.
 
     ``f`` and ``g`` can be Functionals or chaos forms -- anything with a
-    ``space`` and a ``gradient(x, along=None)`` method.  Inner copies are shared across
-    quadrature nodes (common random numbers); with antithetic sampling the
-    +/- pair average is the independent unit for the standard error, which
-    reflects Monte Carlo variation only.
+    ``space`` and a ``gradient(x, along=None)`` method.  Inner copies are
+    shared across quadrature nodes (common random numbers); with antithetic
+    sampling the +/- pair average is the independent unit for the standard
+    error, which reflects Monte Carlo variation only.
     """
     space = f.space
     omega = np.asarray(omega, dtype=float)
