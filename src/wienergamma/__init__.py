@@ -40,7 +40,6 @@ from .comparison import (
     FieldPair,
     build_gaussian_pair,
     concentration_check,
-    h_weights,
     operator_norm,
     sf_phi_prime,
     slepian_phi_prime,

@@ -3,10 +3,12 @@
 Two random fields under comparison are always embedded on one space with
 disjoint coordinate blocks, which enforces the cross-orthogonality the
 interpolation arguments need (the Gamma coupling between an F component and a
-G component vanishes identically).  The supremum comparison interpolates
-through a soft-max; the functional comparison interpolates f(sqrt(1-t) G +
-sqrt(t) F) directly.  Verdicts always report both sides with their Monte
-Carlo standard errors.
+G component vanishes identically).  Both comparisons differentiate
+t -> E f(sqrt(1-t) G + sqrt(t) F) by one estimator of
+(1/2) E<Hess f, Gamma^F - Gamma^G>: the functional comparison for a given f,
+the supremum comparison for the soft-max, whose Hessian beta (diag h - h h')
+turns it into the Sudakov-Fernique derivative.  Verdicts always report both
+sides with their Monte Carlo standard errors.
 """
 
 from __future__ import annotations
@@ -46,24 +48,6 @@ class BlockOverlapError(ValueError):
 def default_t_grid(n_points: int = 21) -> np.ndarray:
     """Interpolation grid kept away from the 1/sqrt(t), 1/sqrt(1-t) endpoints."""
     return np.linspace(0.025, 0.975, n_points)
-
-
-# ---------------------------------------------------------------------------
-# Soft-max machinery
-# ---------------------------------------------------------------------------
-
-def h_weights(t: float, beta: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Soft-max weights of the interpolated field sqrt(1-t) y + sqrt(t) x."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = beta * (math.sqrt(1.0 - t) * y + math.sqrt(t) * x)
-    s -= np.max(s, axis=-1, keepdims=True)
-    e = np.exp(s)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -123,76 +107,12 @@ def build_gaussian_pair(cov_f: np.ndarray, cov_g: np.ndarray) -> FieldPair:
     return FieldPair(f, g)
 
 
-def _affine_delta_matrix(grads: np.ndarray) -> np.ndarray:
-    """Delta(i, j) = |grad_i - grad_j|^2 for constant-gradient components."""
-    diff = grads[:, None, :] - grads[None, :, :]
-    return np.einsum("ijd,ijd->ij", diff, diff)
-
-
 # ---------------------------------------------------------------------------
-# Sudakov-Fernique-type interpolation
+# C^2 maps with exact Hessians
 # ---------------------------------------------------------------------------
 
-def _delta_matrices_at(pair: FieldPair, pts: np.ndarray, cfg: MehlerConfig,
-                       rng: np.random.Generator):
-    """Per-point Delta matrices for both fields, shape 2 x (B, d, d).
+SYMMETRY_TOL = 1e-10  # largest |H_ij - H_ji| accepted from a Hessian evaluator
 
-    Components with constant gradients get their exact (deterministic) Delta;
-    otherwise one shared set of inner copies drives conditionally unbiased
-    estimates for every pair difference at once.
-    """
-    out = []
-    n_pts = pts.shape[0]
-    for fld in (pair.f, pair.g):
-        const = fld.constant_gradients()
-        if const is not None:
-            delta = _affine_delta_matrix(const)
-            out.append(np.broadcast_to(delta, (n_pts,) + delta.shape))
-            continue
-        base = np.stack([c.gradient(pts) for c in fld.components])  # (d, B, n)
-        est = minus_dl_gradient_estimates(fld.components, pts, cfg, rng)  # (d, B, n)
-        gdiff = base[:, None] - base[None, :]      # (d, d, B, n)
-        ediff = est[:, None] - est[None, :]
-        delta = np.einsum("ijbn,ijbn->bij", gdiff, ediff)
-        out.append(delta)
-    return out
-
-
-def sf_phi_prime(pair: FieldPair, t: float, beta: float, cfg: MehlerConfig,
-                 n_outer: int, seed: int = 0, workers: int = 1) -> Estimate:
-    """Derivative of the soft-max interpolation at t:
-
-        phi'(t) = (beta/4) sum_{i,j} E[h_i h_j (Delta_F(i,j) - Delta_G(i,j))].
-    """
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"t must lie in (0, 1), got {t}")
-
-    def job(chunk, rng):
-        pts = sample(pair.space, rng, chunk)
-        f_vals = pair.f.eval_all(pts)
-        g_vals = pair.g.eval_all(pts)
-        h = h_weights(t, beta, f_vals, g_vals)
-        delta_f, delta_g = _delta_matrices_at(pair, pts, cfg, rng)
-        gap = delta_f - delta_g
-        return (beta / 4.0) * np.einsum("bi,bij,bj->b", h, gap, h)
-
-    return mean_estimate(run_chunked(n_outer, workers, seed, 0x5F1, job))
-
-
-def expected_max(fld: RandomField, n_samples: int, seed: int = 0,
-                 workers: int = 1) -> Estimate:
-    """E[max_i field_i] by plain Monte Carlo."""
-
-    def job(chunk, rng):
-        pts = sample(fld.space, rng, chunk)
-        return np.max(fld.eval_all(pts), axis=-1)
-
-    return mean_estimate(run_chunked(n_samples, workers, seed, 0xE3A, job))
-
-
-# ---------------------------------------------------------------------------
-# Slepian-type interpolation
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HessianFunction:
@@ -202,11 +122,37 @@ class HessianFunction:
     fun: object   # callable (..., d) -> (...)
     hessian: object  # callable (..., d) -> (..., d, d)
 
-    def check_symmetry(self, x: np.ndarray, tol: float = 1e-10):
-        h = self.hessian(x)
-        gap = np.max(np.abs(h - np.swapaxes(h, -1, -2)))
-        if gap > tol:
+    def check_symmetry(self, hess: np.ndarray):
+        """Reject Hessian values (..., d, d) asymmetric beyond SYMMETRY_TOL."""
+        gap = np.max(np.abs(hess - np.swapaxes(hess, -1, -2)))
+        if gap > SYMMETRY_TOL:
             raise ValueError(f"hessian of {self.name} is asymmetric by {gap:.3e}")
+
+
+def softmax_function(beta: float) -> HessianFunction:
+    """The soft-max sup F(x) = (1/beta) log sum_i exp(beta x_i), between max(x)
+    and max(x) + log(d)/beta.  Its Hessian is beta (diag h - h h'), where the
+    gradient h holds the soft-max weights."""
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
+
+    def fun(x):
+        x = np.asarray(x, dtype=float)
+        m = np.max(x, axis=-1)
+        return m + np.log(np.sum(np.exp(beta * (x - m[..., None])), axis=-1)) / beta
+
+    def hessian(x):
+        s = beta * np.asarray(x, dtype=float)
+        s -= np.max(s, axis=-1, keepdims=True)
+        e = np.exp(s)
+        h = e / np.sum(e, axis=-1, keepdims=True)
+        hess = np.einsum("...i,...j->...ij", h, h)
+        hess *= -beta
+        diag = np.arange(h.shape[-1])
+        hess[..., diag, diag] += beta * h
+        return hess
+
+    return HessianFunction("softmax", fun, hessian)
 
 
 def quadratic_function(a: np.ndarray, name: str = "quadratic") -> HessianFunction:
@@ -242,6 +188,10 @@ def exp_linear_function(theta: np.ndarray, name: str = "exp-linear") -> HessianF
     return HessianFunction(name, fun, hessian)
 
 
+# ---------------------------------------------------------------------------
+# Smart-path derivatives: Sudakov-Fernique and Slepian types
+# ---------------------------------------------------------------------------
+
 def _gamma_matrices_at(fld: RandomField, pts: np.ndarray, cfg: MehlerConfig,
                        rng: np.random.Generator) -> np.ndarray:
     """Per-point Gamma matrices (B, d, d); entry (i, j) couples DF_j with the
@@ -256,6 +206,38 @@ def _gamma_matrices_at(fld: RandomField, pts: np.ndarray, cfg: MehlerConfig,
     return np.einsum("jbn,ibn->bij", base, est)
 
 
+def _phi_prime(pair: FieldPair, fn: HessianFunction, t: float, cfg: MehlerConfig,
+               n_outer: int, seed: int, workers: int, label: int) -> Estimate:
+    """The body of both phi' estimators (see ``slepian_phi_prime``); ``label``
+    keys the outer-point streams of ``run_chunked``."""
+
+    def job(chunk, rng):
+        pts = sample(pair.space, rng, chunk)
+        interp = math.sqrt(1.0 - t) * pair.g.eval_all(pts) + math.sqrt(t) * pair.f.eval_all(pts)
+        hess = fn.hessian(interp)  # (B, d, d)
+        fn.check_symmetry(hess[:8])
+        gamma_f = _gamma_matrices_at(pair.f, pts, cfg, rng)
+        gamma_g = _gamma_matrices_at(pair.g, pts, cfg, rng)
+        return 0.5 * np.einsum("bij,bij->b", hess, gamma_f - gamma_g)
+
+    return mean_estimate(run_chunked(n_outer, workers, seed, label, job))
+
+
+def sf_phi_prime(pair: FieldPair, t: float, beta: float, cfg: MehlerConfig,
+                 n_outer: int, seed: int = 0, workers: int = 1) -> Estimate:
+    """Derivative of the soft-max interpolation at t:
+
+        phi'(t) = (beta/4) sum_{i,j} E[h_i h_j (Delta_F(i,j) - Delta_G(i,j))],
+
+    h the soft-max weights and Delta(i, j) = Gamma_ii + Gamma_jj - Gamma_ij -
+    Gamma_ji.  As sum_i h_i = 1, the summand equals (1/2) <beta (diag h - h h'),
+    Gamma^F - Gamma^G> point by point: the Slepian derivative of the soft-max.
+    """
+    if not 0.0 < t < 1.0:
+        raise ValueError(f"t must lie in (0, 1), got {t}")
+    return _phi_prime(pair, softmax_function(beta), t, cfg, n_outer, seed, workers, 0x5F1)
+
+
 def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
                       cfg: MehlerConfig, n_outer: int, seed: int = 0,
                       workers: int = 1) -> Estimate:
@@ -265,17 +247,18 @@ def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
+    return _phi_prime(pair, fn, t, cfg, n_outer, seed, workers, 0x51E)
+
+
+def expected_max(fld: RandomField, n_samples: int, seed: int = 0,
+                 workers: int = 1) -> Estimate:
+    """E[max_i field_i] by plain Monte Carlo."""
 
     def job(chunk, rng):
-        pts = sample(pair.space, rng, chunk)
-        interp = math.sqrt(1.0 - t) * pair.g.eval_all(pts) + math.sqrt(t) * pair.f.eval_all(pts)
-        fn.check_symmetry(interp[: min(8, len(interp))])
-        hess = fn.hessian(interp)  # (B, d, d)
-        gamma_f = _gamma_matrices_at(pair.f, pts, cfg, rng)
-        gamma_g = _gamma_matrices_at(pair.g, pts, cfg, rng)
-        return 0.5 * np.einsum("bij,bij->b", hess, gamma_f - gamma_g)
+        pts = sample(fld.space, rng, chunk)
+        return np.max(fld.eval_all(pts), axis=-1)
 
-    return mean_estimate(run_chunked(n_outer, workers, seed, 0x51E, job))
+    return mean_estimate(run_chunked(n_samples, workers, seed, 0xE3A, job))
 
 
 def expected_value(fld: RandomField, fn: HessianFunction, n_samples: int,

@@ -138,21 +138,13 @@ class DriftSpec:
 
     b: object
     b_prime: object
-    lipschitz_bound: float
-
-    def __post_init__(self):
-        if self.lipschitz_bound <= 0:
-            raise ValueError("lipschitz_bound must be positive")
 
 
 # b returns a scalar so that an Euler step adds 0.0 without allocating zeros.
-ZERO_DRIFT = DriftSpec(b=lambda x: 0.0, b_prime=lambda x: np.zeros_like(x),
-                       lipschitz_bound=1.0)
-TANH_DRIFT = DriftSpec(b=np.tanh, b_prime=lambda x: 1.0 / np.cosh(x) ** 2,
-                       lipschitz_bound=1.0)
+ZERO_DRIFT = DriftSpec(b=lambda x: 0.0, b_prime=lambda x: np.zeros_like(x))
+TANH_DRIFT = DriftSpec(b=np.tanh, b_prime=lambda x: 1.0 / np.cosh(x) ** 2)
 NEG_TANH_DRIFT = DriftSpec(b=lambda x: -np.tanh(x),
-                           b_prime=lambda x: -1.0 / np.cosh(x) ** 2,
-                           lipschitz_bound=1.0)
+                           b_prime=lambda x: -1.0 / np.cosh(x) ** 2)
 
 
 def euler_solve(x0: float, drift: DriftSpec, fbm_paths: np.ndarray,

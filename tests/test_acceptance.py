@@ -27,6 +27,7 @@ from wienergamma.cli import (
     upper,
     write_report,
 )
+from wienergamma.comparison import softmax_function
 from wienergamma.core import Functional, build_space, sample, w
 from wienergamma.engine import MehlerConfig, gamma_pointwise, poincare_check
 from wienergamma.sk import (
@@ -35,7 +36,7 @@ from wienergamma.sk import (
     free_energy_reference,
     medium_sample,
 )
-from util import capital_delta, softmax_sup
+from util import capital_delta
 
 ACCEPTANCE_CFG = MehlerConfig(quad_nodes=64, mc_samples=20_000, seed=0)
 DEFAULT_CFG = MehlerConfig(seed=0)
@@ -127,7 +128,7 @@ class TestCriterion05SoftmaxSandwich:
         for beta in (0.5, 1.0, 4.0, 16.0):
             for d in (2, 5, 11):
                 v = rng.standard_normal((2_500, d)) * 3.0
-                s = softmax_sup(beta, v)
+                s = softmax_function(beta).fun(v)
                 m = np.max(v, axis=-1)
                 violations += int(np.sum(s < m))
                 violations += int(np.sum(s > m + math.log(d) / beta + 1e-12))

@@ -7,6 +7,7 @@ from wienergamma.cli import lower, run_slepian, run_sudakov, upper
 from wienergamma.comparison import (
     BlockOverlapError,
     FieldPair,
+    HessianFunction,
     PerturbationSpec,
     build_gaussian_pair,
     build_perturbed_pair,
@@ -16,12 +17,12 @@ from wienergamma.comparison import (
     exp_linear_function,
     expected_max,
     expected_value,
-    h_weights,
     operator_norm,
     perturbation_gamma,
     quadratic_function,
     sf_phi_prime,
     slepian_phi_prime,
+    softmax_function,
     validate_perturbation,
 )
 from wienergamma.core import (
@@ -32,7 +33,7 @@ from wienergamma.core import (
     w,
 )
 from wienergamma.engine import MehlerConfig
-from util import sf_phi_value, softmax_sup
+from util import sf_phi_value
 
 
 def psd_passed(res) -> bool:
@@ -45,44 +46,95 @@ def tail_passed(res) -> bool:
 
 class TestSoftmax:
     def test_two_zeros(self):
-        assert softmax_sup(1.0, np.array([0.0, 0.0])) == pytest.approx(math.log(2.0))
+        assert softmax_function(1.0).fun(np.array([0.0, 0.0])) == pytest.approx(math.log(2.0))
 
     def test_dominant_coordinate(self):
-        assert softmax_sup(100.0, np.array([5.0, 0.0])) == pytest.approx(5.0, abs=1e-12)
+        assert softmax_function(100.0).fun(np.array([5.0, 0.0])) == pytest.approx(
+            5.0, abs=1e-12)
 
     def test_sandwich_exact(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((1000, 3)) * 2.0
-        s = softmax_sup(2.0, v)
+        s = softmax_function(2.0).fun(v)
         m = np.max(v, axis=-1)
         assert np.all(s >= m - 1e-12)
         assert np.all(s <= m + math.log(3.0) / 2.0 + 1e-12)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
-            softmax_sup(0.0, np.array([1.0]))
+            softmax_function(0.0)
 
 
 class TestHWeights:
+    """The soft-max weights h, read off its gradient and its Hessian
+    beta (diag h - h h')."""
+
     def test_uniform_at_zero(self):
-        h = h_weights(0.5, 2.0, np.zeros(4), np.zeros(4))
-        assert np.allclose(h, 0.25)
+        # Equal coordinates give h = 1/4 on every coordinate.
+        hess = softmax_function(2.0).hessian(np.zeros(4))
+        assert np.allclose(hess, 2.0 * (np.eye(4) / 4.0 - 1.0 / 16.0), atol=1e-15)
 
     def test_dominant_weight_grows_with_beta(self):
+        # hess[0, 0] / beta = h_0 (1 - h_0) falls as the dominant h_0 nears 1.
         x = np.array([3.0, 0.0])
-        y = np.zeros(2)
-        h_small = h_weights(0.5, 1.0, x, y)
-        h_large = h_weights(0.5, 50.0, x, y)
-        assert h_large[0] > h_small[0]
-        assert h_large[0] > 0.999
+        small = softmax_function(1.0).hessian(x)[0, 0]
+        large = softmax_function(50.0).hessian(x)[0, 0] / 50.0
+        assert large < small
+        assert large < 1e-3
 
     def test_rows_sum_to_one(self):
+        # The gradient of the soft-max is h; a positive diagonal beta h_i (1 - h_i)
+        # puts every h_i strictly inside (0, 1).
         rng = np.random.default_rng(1)
         x = rng.standard_normal((200, 5))
-        y = rng.standard_normal((200, 5))
-        h = h_weights(0.3, 4.0, x, y)
-        assert np.allclose(np.sum(h, axis=-1), 1.0, atol=1e-12)
-        assert np.all(h > 0)
+        sm, step = softmax_function(4.0), 1e-6
+        grad = np.stack([(sm.fun(x + step * e) - sm.fun(x - step * e)) / (2.0 * step)
+                         for e in np.eye(5)], axis=-1)
+        assert np.allclose(np.sum(grad, axis=-1), 1.0, atol=1e-8)
+        assert np.all(np.diagonal(sm.hessian(x), axis1=-2, axis2=-1) > 0)
+
+
+class TestSoftmaxHessian:
+    @pytest.mark.parametrize("d", (1, 3, 5))
+    @pytest.mark.parametrize("beta", (0.5, 2.0, 16.0))
+    def test_matches_central_differences(self, d, beta):
+        sm = softmax_function(beta)
+        x = np.random.default_rng(d).standard_normal((20, d)) * 1.5
+        step = np.eye(d) * (1e-4 / beta)
+        fd = np.empty((20, d, d))
+        for i in range(d):
+            for j in range(d):
+                fd[:, i, j] = (sm.fun(x + step[i] + step[j]) - sm.fun(x + step[i] - step[j])
+                               - sm.fun(x - step[i] + step[j])
+                               + sm.fun(x - step[i] - step[j])) / (4.0 * step[i, i] ** 2)
+        assert np.allclose(sm.hessian(x), fd, rtol=0.0, atol=1e-6 * beta)
+
+    def test_symmetric_with_zero_row_sums(self):
+        x = np.random.default_rng(2).standard_normal((100, 6)) * 2.0
+        hess = softmax_function(3.0).hessian(x)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+        assert np.allclose(np.sum(hess, axis=-1), 0.0, rtol=0.0, atol=1e-14 * 3.0)
+
+    def test_delta_form_equals_hessian_form(self):
+        # (beta/4) h' Delta h = (1/2) <Hess, Gamma> at each point, for any Gamma
+        # and Delta_ij = Gamma_ii + Gamma_jj - Gamma_ij - Gamma_ji, relative to
+        # the sum of the terms' magnitudes (the diagonal beta h_i - beta h_i^2
+        # cancels when one weight nears 1).
+        rng = np.random.default_rng(3)
+        for beta in (0.5, 2.0, 16.0):
+            x = rng.standard_normal((200, 5))
+            gamma = rng.standard_normal((200, 5, 5))
+            diag = np.diagonal(gamma, axis1=-2, axis2=-1)
+            delta = (diag[:, :, None] + diag[:, None, :] - gamma
+                     - np.swapaxes(gamma, -1, -2))
+            e = np.exp(beta * (x - np.max(x, axis=-1, keepdims=True)))
+            h = e / np.sum(e, axis=-1, keepdims=True)
+            hess = softmax_function(beta).hessian(x)
+            delta_form = (beta / 4.0) * np.einsum("bi,bij,bj->b", h, delta, h)
+            hess_form = 0.5 * np.einsum("bij,bij->b", hess, gamma)
+            terms = beta * (h[:, :, None] * h[:, None, :] + h[:, :, None] * np.eye(5))
+            scale = 0.5 * np.einsum("bij,bij->b", terms, np.abs(gamma))
+            assert np.all(np.abs(delta_form - hess_form) <= 1e-13 * scale)
 
 
 class TestFieldPair:
@@ -228,6 +280,14 @@ class TestSlepian:
         est = slepian_phi_prime(pair, fn, 0.5, MehlerConfig(seed=13), n_outer=2_000)
         assert est.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_asymmetric_hessian_rejected(self):
+        pair = build_gaussian_pair(np.eye(2), np.eye(2))
+        upper_entry = np.array([[0.0, 1.0], [0.0, 0.0]])
+        skew = HessianFunction("skew", lambda x: x[..., 0] * x[..., 1],
+                               lambda x: np.broadcast_to(upper_entry, x.shape + (2,)))
+        with pytest.raises(ValueError, match="hessian of skew is asymmetric"):
+            slepian_phi_prime(pair, skew, 0.5, MehlerConfig(seed=1), n_outer=10)
+
     def test_gaussian_quadratic_comparison(self):
         c = np.array([[1.0, 0.1], [0.1, 1.0]])
         v = np.array([0.8, 0.6])
@@ -270,8 +330,9 @@ class TestSlepian:
         from wienergamma.core import sample
 
         pts = sample(space, rng, 120_000)
-        vf = softmax_sup(1.0, f.eval_all(pts))
-        vg = softmax_sup(1.0, g.eval_all(pts))
+        softmax = softmax_function(1.0).fun
+        vf = softmax(f.eval_all(pts))
+        vg = softmax(g.eval_all(pts))
         se = math.hypot(np.std(vf, ddof=1), np.std(vg, ddof=1)) / math.sqrt(len(pts))
         assert np.mean(vf) >= np.mean(vg) - 3.0 * se
 

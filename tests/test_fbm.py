@@ -227,8 +227,7 @@ class TestEuler:
     def test_constant_drift_adds_linear_ramp(self):
         grid = uniform_grid(0.7, 1.0, 32)
         drift = DriftSpec(b=lambda x: 2.0 * np.ones_like(x),
-                          b_prime=lambda x: np.zeros_like(x),
-                          lipschitz_bound=1.0)
+                          b_prime=lambda x: np.zeros_like(x))
         paths, _ = fbm_sample(grid, np.random.default_rng(10), size=10)
         values = euler_solve(0.0, drift, paths, grid.times)
         assert np.allclose(values, paths + 2.0 * grid.times, atol=1e-12)
@@ -236,8 +235,7 @@ class TestEuler:
     def test_ou_variance_near_brownian_limit(self):
         # b(x) = -x with H near 1/2: Var F_1 should sit near (1 - e^{-2})/2.
         grid = uniform_grid(0.51, 1.0, 256)
-        drift = DriftSpec(b=lambda x: -x, b_prime=lambda x: -np.ones_like(x),
-                          lipschitz_bound=1.0)
+        drift = DriftSpec(b=lambda x: -x, b_prime=lambda x: -np.ones_like(x))
         # Exact variance of the Euler scheme: F_m = sum_k (1-dt)^{m-1-k} dB_k.
         dts = np.diff(grid.times)
         m = dts.size
@@ -262,8 +260,7 @@ class TestSdeMalliavin:
 
     def test_constant_bprime_gives_exponential(self):
         grid = uniform_grid(0.7, 1.0, 8)
-        drift = DriftSpec(b=lambda x: 0.5 * x, b_prime=lambda x: 0.5 * np.ones_like(x),
-                          lipschitz_bound=0.5)
+        drift = DriftSpec(b=lambda x: 0.5 * x, b_prime=lambda x: 0.5 * np.ones_like(x))
         paths, _ = fbm_sample(grid, np.random.default_rng(13), size=2)
         values = euler_solve(0.0, drift, paths, grid.times)
         d = sde_malliavin(values, drift, grid.times)
@@ -379,8 +376,7 @@ class TestDeltaAgainstClosedForms:
         c = 0.5
         m = 64
         grid = uniform_grid(0.7, 1.0, m)
-        drift = DriftSpec(b=lambda x: c * x, b_prime=lambda x: c * np.ones_like(x),
-                          lipschitz_bound=c)
+        drift = DriftSpec(b=lambda x: c * x, b_prime=lambda x: c * np.ones_like(x))
         s_idx, t_idx = 16, 48
         dts = np.diff(grid.times)
 

@@ -3,8 +3,8 @@
 The oracles here check the package from outside and are not used by any
 command: a per-node dense forward mode for expression gradients, an
 expression printer for the parser round-trip, the Mehler shift of one
-quadrature node, the soft-max sup and the interpolation phi(t) whose
-derivative ``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms, the
+quadrature node, the soft-max interpolation phi(t) whose derivative
+``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms, the
 expression tree of a chaos form, the difference of two functionals with its
 Delta(s, t), and the SK Hamiltonian.
 """
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from wienergamma.chaos import ChaosForm
-from wienergamma.comparison import FieldPair
+from wienergamma.comparison import FieldPair, softmax_function
 from wienergamma.core import (
     Constant,
     Coordinate,
@@ -208,23 +208,15 @@ def mehler_shift(omega: np.ndarray, omega_hat: np.ndarray, u: float) -> np.ndarr
     return u * omega + math.sqrt(1.0 - u * u) * omega_hat
 
 
-def softmax_sup(beta: float, v: np.ndarray) -> np.ndarray:
-    """(1/beta) log sum_i exp(beta v_i): between max(v) and max(v) + log(d)/beta."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    v = np.asarray(v, dtype=float)
-    m = np.max(v, axis=-1)
-    return m + np.log(np.sum(np.exp(beta * (v - m[..., None])), axis=-1)) / beta
-
-
 def sf_phi_value(pair: FieldPair, t: float, beta: float, n_outer: int,
                  seed: int = 0, workers: int = 1) -> Estimate:
     """phi(t) = (1/beta) E log sum_i exp(beta (sqrt(1-t) G_i + sqrt(t) F_i))."""
+    softmax = softmax_function(beta).fun
 
     def job(chunk, rng):
         pts = sample(pair.space, rng, chunk)
         interp = math.sqrt(1.0 - t) * pair.g.eval_all(pts) + math.sqrt(t) * pair.f.eval_all(pts)
-        return softmax_sup(beta, interp)
+        return softmax(interp)
 
     return mean_estimate(run_chunked(n_outer, workers, seed, 0x501, job))
 
