@@ -9,6 +9,10 @@ pseudo-inverse acts on it as division by -q and
 
 Constant terms (empty factor list) are annihilated.  This gives Gamma_{F,G}
 exactly, which is the reference the Monte Carlo engine is validated against.
+
+A value or gradient call builds one Hermite ladder H_1..H_Q per coordinate,
+Q the coordinate's largest order in any term, by the recurrence of
+``core.hermite_pair``, and every factor reads its H_q and H_{q-1} from it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpressionError, WienerSpace, hermite_pair, hermite_value
+from .core import ExpressionError, WienerSpace
 
 Factor = tuple[int, int]  # (coordinate index, Hermite order >= 1)
 Term = tuple[float, tuple[Factor, ...]]
@@ -50,11 +54,16 @@ class ChaosForm:
 
     def value(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        ladders = self._ladders(x)
         total = np.zeros(x.shape[:-1])
         for coeff, factors in self.terms:
-            term = np.full(x.shape[:-1], coeff)
-            for i, q in factors:
-                term = term * hermite_value(q, x[..., i])
+            if not factors:
+                total += coeff
+                continue
+            (i, q), rest = factors[0], factors[1:]
+            term = coeff * ladders[i][q]
+            for i, q in rest:
+                term *= ladders[i][q]
             total += term
         return total
 
@@ -71,32 +80,59 @@ class ChaosForm:
         x = np.asarray(x, dtype=float)
         return self._weighted_gradient(x, lambda q: 1.0 / q)
 
+    def _ladders(self, x) -> dict:
+        """Per coordinate i of the form, [None, H_1, ..., H_Q] at x[..., i],
+        Q the largest order of i in any term.  H_1 is the view x[..., i] and
+        H_0 = 1 is left out: the callers skip multiplications by it."""
+        top = {}
+        for _, factors in self.terms:
+            for i, q in factors:
+                top[i] = max(q, top.get(i, 0))
+        ladders = {}
+        for i, q_max in top.items():
+            xi = x[..., i]
+            ladder = [None, xi]
+            if q_max >= 2:
+                ladder.append(xi * xi - 1.0)
+            for k in range(2, q_max):
+                ladder.append(xi * ladder[k] - k * ladder[k - 1])
+            ladders[i] = ladder
+        return ladders
+
     def _weighted_gradient(self, x, weight, along=None) -> np.ndarray:
         # C order whatever the layout of x: a caller's matrix product with
-        # the gradient then rounds the same for every input layout.  Along a
-        # direction, each partial derivative is multiplied by its entry of
-        # the direction last, after the product of its factors.
+        # the gradient then rounds the same for every input layout.  Each
+        # partial derivative is scale * (its factors in term order), with
+        # q * H_{q-1} in place of H_q for the differentiated factor and the
+        # exact ones of a first-order factor's derivative skipped; along a
+        # direction, it is multiplied by its entry of the direction last.
+        # Every partial is formed in one buffer that is reused.
         if along is None:
             shape = x.shape[:-1]
             grad = np.zeros(x.shape)
         else:
             shape = np.broadcast_shapes(x.shape, along.shape)[:-1]
             grad = np.zeros(shape)
+        ladders = self._ladders(x)
+        derivs = {}  # (i, q) -> q * H_{q-1}(x[..., i]) for q >= 2
+        part = np.empty(shape)
         for coeff, factors in self.terms:
             if not factors:
                 continue
             total_order = sum(q for _, q in factors)
             scale = coeff * weight(total_order)
-            values = []
-            derivs = []
-            for i, q in factors:
-                hq, hq_minus = hermite_pair(q, x[..., i])
-                values.append(hq)
-                derivs.append(q * hq_minus)
-            for k, (i, _) in enumerate(factors):
-                part = np.full(shape, scale)
-                for j, v in enumerate(values):
-                    part *= derivs[j] if j == k else v
+            for i, q_i in factors:
+                if q_i >= 2 and (i, q_i) not in derivs:
+                    derivs[i, q_i] = q_i * ladders[i][q_i - 1]
+                product = [derivs.get((j, q)) if j == i else ladders[j][q]
+                           for j, q in factors]
+                product = [f for f in product if f is not None]
+                if product:
+                    np.multiply(scale, product[0], out=part)
+                    for f in product[1:]:
+                        part *= f
+                else:
+                    part.fill(scale)
                 if along is None:
                     grad[..., i] += part
                 else:

@@ -195,12 +195,11 @@ def exp_linear_function(theta: np.ndarray, name: str = "exp-linear") -> HessianF
 def _gamma_matrices_at(fld: RandomField, pts: np.ndarray, cfg: MehlerConfig,
                        rng: np.random.Generator) -> np.ndarray:
     """Per-point Gamma matrices (B, d, d); entry (i, j) couples DF_j with the
-    -D L^{-1} estimate for F_i.  Exact (constant) for all-affine fields."""
+    -D L^{-1} estimate for F_i.  For all-affine fields Gamma is exact and the
+    same at every point, and the one (d, d) matrix is returned."""
     const = fld.constant_gradients()
-    n_pts = pts.shape[0]
     if const is not None:
-        gamma = const @ const.T
-        return np.broadcast_to(gamma, (n_pts,) + gamma.shape)
+        return const @ const.T
     base = np.stack([c.gradient(pts) for c in fld.components])  # (d, B, n)
     est = minus_dl_gradient_estimates(fld.components, pts, cfg, rng)
     return np.einsum("jbn,ibn->bij", base, est)
@@ -218,7 +217,8 @@ def _phi_prime(pair: FieldPair, fn: HessianFunction, t: float, cfg: MehlerConfig
         fn.check_symmetry(hess[:8])
         gamma_f = _gamma_matrices_at(pair.f, pts, cfg, rng)
         gamma_g = _gamma_matrices_at(pair.g, pts, cfg, rng)
-        return 0.5 * np.einsum("bij,bij->b", hess, gamma_f - gamma_g)
+        diff = gamma_f - gamma_g  # (d, d) when both fields are all-affine
+        return 0.5 * np.einsum("bij,bij->b" if diff.ndim == 3 else "bij,ij->b", hess, diff)
 
     return mean_estimate(run_chunked(n_outer, workers, seed, label, job))
 

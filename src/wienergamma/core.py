@@ -47,22 +47,25 @@ class EvaluationOverflow(FloatingPointError):
 
 def hermite_value(q: int, x):
     """H_q(x) by the recurrence H_{q+1} = x*H_q - q*H_{q-1}, H_0 = 1, H_1 = x."""
-    if q < 0 or q != int(q):
-        raise ExpressionError(f"Hermite order must be an integer >= 0, got {q}")
     return hermite_pair(q, x)[0]
 
 
 def hermite_pair(q: int, x):
     """Return (H_q(x), H_{q-1}(x)); H_{-1} is taken as 0.
 
-    The pair gives the derivative for free: H_q'(x) = q * H_{q-1}(x).
+    The pair gives the derivative for free: H_q'(x) = q * H_{q-1}(x).  H_1 is
+    ``x`` itself (as a float array), not a copy, so the results must not be
+    written to.
     """
+    if not (float(q).is_integer() and q >= 0):
+        raise ExpressionError(f"Hermite order must be an integer >= 0, got {q}")
+    q = int(q)
     x = np.asarray(x, dtype=float)
-    if q == 0:
-        return np.ones_like(x), np.zeros_like(x)
-    h_prev = np.ones_like(x)
-    h = x.copy()
-    for k in range(1, q):
+    if q < 2:
+        h0 = np.ones(x.shape)
+        return (h0, np.zeros(x.shape)) if q == 0 else (x, h0)
+    h_prev, h = x, x * x - 1.0
+    for k in range(2, q):
         h_prev, h = h, x * h - k * h_prev
     return h, h_prev
 

@@ -21,7 +21,8 @@ points they shift, in how many copies they draw and lay out, and in what
   coordinate-major, one value <DG(y), DF(omega)> per copy, folded over
   antithetic pairs afterwards;
 * ``coupled_gamma_values``: many outer points, each repeated once per copy
-  (a few copies each), the mean of <DG(y), DF(point)> over a point's copies;
+  (a few copies each), the mean of <DG(y), DF(point)> over a point's copies,
+  which ``copy_mean`` takes with numpy's bits by adding copy columns;
 * ``minus_dl_gradient_estimates``: the same points and copies, one gradient
   per functional and point;
 * ``fbm.delta_fbm``: outer fBm coordinates, whose ``term`` re-solves the SDE
@@ -131,13 +132,20 @@ def gauss_legendre_unit(n_nodes: int):
 
 
 def inner_normals(rng: np.random.Generator, lead: tuple, per: int, dim: int,
-                  antithetic: bool) -> np.ndarray:
-    """Inner copies of shape lead + (per, dim); antithetic pairs are stacked
-    on axis -2 as (+z, -z), so ``per`` rounds down to an even count."""
-    if antithetic:
-        z = rng.standard_normal(lead + (per // 2, dim))
-        return np.concatenate([z, -z], axis=-2)
-    return rng.standard_normal(lead + (per, dim))
+                  antithetic: bool, order: str = "C") -> np.ndarray:
+    """Inner copies of shape lead + (per, dim) in memory order ``order``;
+    antithetic pairs are stacked on axis -2 as (+z, -z), so ``per`` rounds
+    down to an even count.  The normals are drawn C-ordered and written once
+    into the result, whatever its order."""
+    if not antithetic:
+        z = rng.standard_normal(lead + (per, dim))
+        return z if order == "C" else np.asfortranarray(z)
+    half = per // 2
+    z = rng.standard_normal(lead + (half, dim))
+    out = np.empty(lead + (2 * half, dim), order=order)
+    out[..., :half, :] = z
+    np.negative(z, out=out[..., half:, :])
+    return out
 
 
 def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, term):
@@ -180,10 +188,10 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
         raise ValueError(f"sample point must have shape ({space.dim},)")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    # Coordinate-major, so the gradients' column reads y[:, i] are contiguous
-    # and omega is broadcast along the contiguous axis.
-    inner = np.asfortranarray(
-        inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic))
+    # Drawn straight into coordinate-major order, so the gradients' column
+    # reads y[:, i] are contiguous and omega is broadcast along the
+    # contiguous axis.
+    inner = inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic, order="F")
     df = f.gradient(omega)
     per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y, df))
     if cfg.antithetic:
@@ -225,7 +233,25 @@ def coupled_gamma_values(f, g, points: np.ndarray, cfg: MehlerConfig,
     # DF at each point, broadcast over its copies: y has shape (n_points, per, dim).
     df = f.gradient(points)[:, None, :]
     return mehler_integral(repeated, inner, cfg,
-                           lambda y: np.mean(g.gradient(y, df), axis=1))
+                           lambda y: copy_mean(g.gradient(y, df)))
+
+
+def copy_mean(values: np.ndarray) -> np.ndarray:
+    """``np.mean(values, axis=1)`` of an (n_points, per) array, bit for bit.
+
+    Below 8 copies numpy adds a row's entries one by one onto 0.0 and divides
+    once, but runs one reduction loop per row; adding the columns in that
+    order runs one loop per copy.  From 8 copies up numpy sums in pairwise
+    blocks, so ``np.mean`` itself runs there.
+    """
+    per = values.shape[1]
+    if per >= 8:
+        return np.mean(values, axis=1)
+    total = values[:, 0] + 0.0
+    for k in range(1, per):
+        total += values[:, k]
+    total /= per
+    return total
 
 
 def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConfig,

@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.core import ExpressionError, build_space, sample
-from util import assert_tangent_close, chaos_to_functional, expectation_of_product, point_layouts
+from util import (
+    assert_tangent_close,
+    chaos_to_functional,
+    expectation_of_product,
+    point_layouts,
+    reference_chaos_value,
+    reference_weighted_gradient,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +119,52 @@ def test_gradient_along_a_direction_contracts_the_dense_one(dim):
             assert f.gradient(x).flags.c_contiguous
             for along in (rng.standard_normal(dim), rng.standard_normal((4, 1, dim))):
                 assert_tangent_close(f.gradient(x, along=along), dense, along)
+
+
+@st.composite
+def forms_and_points(draw):
+    """A chaos form on 1-4 coordinates with 1-4 terms of orders 1-5 (terms
+    may share coordinates or be constant), points of shape (n,), (N, n) or
+    (N, per, n) in C or F order with some exact (signed) zeros and ones, and
+    a direction of None, (n,) or (N, 1, n)."""
+    dim = draw(st.integers(1, 4))
+    coeffs = st.sampled_from([1.0, -1.0, 0.5, 3.0]) | st.floats(-4.0, 4.0)
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coords = draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+        terms.append((draw(coeffs), tuple((i, draw(st.integers(1, 5))) for i in coords)))
+    f = form(build_space(dim), *terms)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pts, per = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(dim,), (n_pts, dim), (n_pts, per, dim)]))
+    x = rng.standard_normal(shape) * 1.5
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    x[rng.random(shape) < 0.1] = 1.0
+    if draw(st.booleans()):
+        x = np.asfortranarray(x)
+    along = draw(st.sampled_from([None, (dim,), (n_pts, 1, dim)]))
+    if along is not None:
+        along = rng.standard_normal(along)
+        along[rng.random(along.shape) < 0.2] = 0.0
+    return f, x, along
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(forms_and_points())
+def test_kernels_match_the_reference_bit_for_bit(case):
+    f, x, along = case
+    for weight in (lambda q: 1.0, lambda q: 1.0 / q):
+        got = f._weighted_gradient(x, weight, along)
+        want = reference_weighted_gradient(f, x, weight, along)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert f.gradient(x, along).tobytes() == reference_weighted_gradient(
+        f, x, lambda q: 1.0, along).tobytes()
+    assert f.minus_dl_gradient(x).tobytes() == reference_weighted_gradient(
+        f, x, lambda q: 1.0 / q).tobytes()
+    value, want = f.value(x), reference_chaos_value(f, x)
+    assert np.shape(value) == want.shape and value.tobytes() == want.tobytes()
 
 
 def test_oracle_suite_shape(space4):

@@ -15,6 +15,7 @@ from wienergamma.core import (
     RandomField,
     WienerSpaceError,
     build_space,
+    hermite_pair,
     hermite_value,
     make_field,
     sample,
@@ -27,6 +28,7 @@ from util import (
     functional_difference,
     point_layouts,
     random_expression,
+    reference_hermite_pair,
 )
 
 
@@ -92,6 +94,21 @@ class TestHermite:
         assert hermite_value(4, 0.0) == pytest.approx(3.0)  # recurrence by hand
         assert hermite_value(0, 1.7) == pytest.approx(1.0)
         assert hermite_value(1, -0.4) == pytest.approx(-0.4)
+
+    def test_pair_matches_the_reference_recurrence(self):
+        x = np.random.default_rng(3).standard_normal(200) * 2.0
+        x[:4] = [0.0, -0.0, 1.0, -1.0]
+        for q in range(9):
+            for got, want in zip(hermite_pair(q, x), reference_hermite_pair(q, x)):
+                assert got.tobytes() == want.tobytes()
+        assert hermite_pair(3.0, x)[0].tobytes() == hermite_pair(3, x)[0].tobytes()
+
+    @pytest.mark.parametrize("q", [-1, -3, 1.5, -0.5])
+    def test_bad_order_rejected(self, q):
+        with pytest.raises(ExpressionError, match="integer >= 0"):
+            hermite_pair(q, np.zeros(3))
+        with pytest.raises(ExpressionError, match="integer >= 0"):
+            hermite_value(q, 0.5)
 
     def test_orthogonality_montecarlo(self):
         rng = np.random.default_rng(13)

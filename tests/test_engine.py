@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.cli import close, upper
@@ -10,6 +12,7 @@ from wienergamma.engine import (
     CenteringError,
     Estimate,
     MehlerConfig,
+    copy_mean,
     coupled_gamma_values,
     gamma_pointwise,
     gauss_legendre_unit,
@@ -73,6 +76,31 @@ class TestRunningMoments:
 
     def test_single_sample_has_zero_standard_error(self):
         assert mean_estimate([[], [2.5]]) == Estimate(2.5, 0.0)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 20), st.integers(1, 300), st.booleans(), st.integers(0, 2**32 - 1))
+def test_copy_mean_is_numpy_mean_bit_for_bit(per, n_points, fortran, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_points, per)) * np.exp(rng.uniform(-30, 30, (n_points, per)))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] = -0.0
+    values[: min(2, n_points)] = -0.0  # all-negative-zero rows
+    if fortran:
+        values = np.asfortranarray(values)
+    assert copy_mean(values).tobytes() == np.mean(values, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("lead, per", [((), 7), ((), 8), ((5,), 4), ((2, 3), 3)])
+def test_inner_normals_layouts_share_the_draw(antithetic, lead, per):
+    c_order = inner_normals(np.random.default_rng(9), lead, per, 3, antithetic)
+    f_order = inner_normals(np.random.default_rng(9), lead, per, 3, antithetic, order="F")
+    z = np.random.default_rng(9).standard_normal(lead + ((per // 2 if antithetic else per), 3))
+    want = np.concatenate([z, -z], axis=-2) if antithetic else z
+    assert c_order.flags.c_contiguous and f_order.flags.f_contiguous
+    assert c_order.tobytes() == want.tobytes()
+    assert np.ascontiguousarray(f_order).tobytes() == want.tobytes()
 
 
 class TestMehlerShift:

@@ -1,7 +1,9 @@
 """Shared test helpers: random expression generator and small oracles.
 
 The oracles here check the package from outside and are not used by any
-command: a per-node dense forward mode for expression gradients, an
+command: a per-node dense forward mode for expression gradients, frozen
+reference copies of the Hermite recurrence and of the chaos-form value and
+gradient loops (the package's kernels must match them bit for bit), an
 expression printer for the parser round-trip, the Mehler shift of one
 quadrature node, the soft-max interpolation phi(t) whose derivative
 ``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms, the
@@ -30,7 +32,6 @@ from wienergamma.core import (
     Sum,
     Tanh,
     WienerSpaceError,
-    hermite_pair,
     sample,
 )
 from wienergamma.engine import Estimate, MehlerConfig, gamma_pointwise, mean_estimate
@@ -120,9 +121,69 @@ def dense_value_and_gradient(expr: Expression, x: np.ndarray):
         tv = np.tanh(v)
         return tv, (1.0 - tv * tv)[..., None] * g
     if isinstance(expr, Hermite):
-        hq, hq_minus = hermite_pair(expr.order, v)
+        hq, hq_minus = reference_hermite_pair(expr.order, v)
         return hq, (expr.order * hq_minus)[..., None] * g
     raise TypeError(f"unknown node type {type(expr).__name__}")
+
+
+def reference_hermite_pair(q: int, x):
+    """(H_q(x), H_{q-1}(x)) by the plain recurrence from H_0 = 1, H_1 = x,
+    always in fresh arrays."""
+    x = np.asarray(x, dtype=float)
+    if q == 0:
+        return np.ones_like(x), np.zeros_like(x)
+    h_prev = np.ones_like(x)
+    h = x.copy()
+    for k in range(1, q):
+        h_prev, h = h, x * h - k * h_prev
+    return h, h_prev
+
+
+def reference_chaos_value(f: ChaosForm, x) -> np.ndarray:
+    """The value of a chaos form, one full array per term and factor."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape[:-1])
+    for coeff, factors in f.terms:
+        term = np.full(x.shape[:-1], coeff)
+        for i, q in factors:
+            term = term * reference_hermite_pair(q, x[..., i])[0]
+        total += term
+    return total
+
+
+def reference_weighted_gradient(f: ChaosForm, x, weight, along=None) -> np.ndarray:
+    """The gradient of a chaos form with the term of order q scaled by
+    weight(q), C-ordered; with ``along``, the derivative along it.  Each
+    partial is a full array of the scale times every factor in term order
+    (the derivative q * H_{q-1} for the differentiated one), then times the
+    entry of ``along``."""
+    x = np.asarray(x, dtype=float)
+    if along is None:
+        shape = x.shape[:-1]
+        grad = np.zeros(x.shape)
+    else:
+        along = np.asarray(along, dtype=float)
+        shape = np.broadcast_shapes(x.shape, along.shape)[:-1]
+        grad = np.zeros(shape)
+    for coeff, factors in f.terms:
+        if not factors:
+            continue
+        scale = coeff * weight(sum(q for _, q in factors))
+        values, derivs = [], []
+        for i, q in factors:
+            hq, hq_minus = reference_hermite_pair(q, x[..., i])
+            values.append(hq)
+            derivs.append(q * hq_minus)
+        for k, (i, _) in enumerate(factors):
+            part = np.full(shape, scale)
+            for j, v in enumerate(values):
+                part *= derivs[j] if j == k else v
+            if along is None:
+                grad[..., i] += part
+            else:
+                part *= along[..., i]
+                grad += part
+    return grad
 
 
 def point_layouts(rng: np.random.Generator, dim: int):
