@@ -10,9 +10,9 @@ pseudo-inverse acts on it as division by -q and
 Constant terms (empty factor list) are annihilated.  This gives Gamma_{F,G}
 exactly, which is the reference the Monte Carlo engine is validated against.
 
-A value or gradient call builds one Hermite ladder H_1..H_Q per coordinate,
-Q the coordinate's largest order in any term, by the recurrence of
-``core.hermite_pair``, and every factor reads its H_q and H_{q-1} from it.
+A value or gradient call builds one ``core.hermite_ladder`` H_1..H_Q per
+coordinate, Q the coordinate's largest order in any term, and every factor
+reads its H_q and H_{q-1} from it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExpressionError, WienerSpace
+from .core import ExpressionError, WienerSpace, hermite_ladder, require_integer
 
 Factor = tuple[int, int]  # (coordinate index, Hermite order >= 1)
 Term = tuple[float, tuple[Factor, ...]]
@@ -42,9 +42,8 @@ class ChaosForm:
             if len(set(indices)) != len(indices):
                 raise ExpressionError(f"repeated coordinate in term {factors}")
             for i, q in factors:
-                if q < 1:
-                    raise ExpressionError("factor orders must be >= 1")
-                if i < 0 or i >= self.space.dim:
+                require_integer(q, 1, "factor order")
+                if require_integer(i, 0, "coordinate index") >= self.space.dim:
                     raise ExpressionError(
                         f"coordinate {i} out of range for dimension {self.space.dim}")
 
@@ -81,23 +80,13 @@ class ChaosForm:
         return self._weighted_gradient(x, lambda q: 1.0 / q)
 
     def _ladders(self, x) -> dict:
-        """Per coordinate i of the form, [None, H_1, ..., H_Q] at x[..., i],
-        Q the largest order of i in any term.  H_1 is the view x[..., i] and
-        H_0 = 1 is left out: the callers skip multiplications by it."""
+        """Per coordinate i of the form, ``hermite_ladder(Q, x[..., i])``,
+        Q the largest order of i in any term."""
         top = {}
         for _, factors in self.terms:
             for i, q in factors:
                 top[i] = max(q, top.get(i, 0))
-        ladders = {}
-        for i, q_max in top.items():
-            xi = x[..., i]
-            ladder = [None, xi]
-            if q_max >= 2:
-                ladder.append(xi * xi - 1.0)
-            for k in range(2, q_max):
-                ladder.append(xi * ladder[k] - k * ladder[k - 1])
-            ladders[i] = ladder
-        return ladders
+        return {i: hermite_ladder(q_max, x[..., i]) for i, q_max in top.items()}
 
     def _weighted_gradient(self, x, weight, along=None) -> np.ndarray:
         # C order whatever the layout of x: a caller's matrix product with

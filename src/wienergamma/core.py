@@ -45,8 +45,37 @@ class EvaluationOverflow(FloatingPointError):
 # Hermite polynomials (probabilists' normalization: H2(x) = x^2 - 1)
 # ---------------------------------------------------------------------------
 
+def require_integer(value, low: int, what: str) -> int:
+    """``int(value)``; ExpressionError unless ``value`` is an integer >= ``low``.
+
+    NaN, infinities and values that are not numbers are rejected alike.
+    """
+    try:
+        ok = float(value).is_integer() and value >= low
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ExpressionError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def hermite_ladder(q: int, x) -> list:
+    """[None, H_1, ..., H_q] at the float array ``x`` for an integer q >= 1.
+
+    H_1 is ``x`` itself, not a copy, H_2 = x*x - 1.0, and
+    H_{k+1} = x*H_k - k*H_{k-1}.  H_0 = 1 is left out, as callers skip
+    multiplying by it.
+    """
+    ladder = [None, x]
+    if q >= 2:
+        ladder.append(x * x - 1.0)
+    for k in range(2, q):
+        ladder.append(x * ladder[k] - k * ladder[k - 1])
+    return ladder
+
+
 def hermite_value(q: int, x):
-    """H_q(x) by the recurrence H_{q+1} = x*H_q - q*H_{q-1}, H_0 = 1, H_1 = x."""
+    """H_q(x), from H_0 = 1 and H_1 = x by the recurrence of ``hermite_ladder``."""
     return hermite_pair(q, x)[0]
 
 
@@ -57,17 +86,13 @@ def hermite_pair(q: int, x):
     ``x`` itself (as a float array), not a copy, so the results must not be
     written to.
     """
-    if not (float(q).is_integer() and q >= 0):
-        raise ExpressionError(f"Hermite order must be an integer >= 0, got {q}")
-    q = int(q)
+    q = require_integer(q, 0, "Hermite order")
     x = np.asarray(x, dtype=float)
     if q < 2:
         h0 = np.ones(x.shape)
         return (h0, np.zeros(x.shape)) if q == 0 else (x, h0)
-    h_prev, h = x, x * x - 1.0
-    for k in range(2, q):
-        h_prev, h = h, x * h - k * h_prev
-    return h, h_prev
+    ladder = hermite_ladder(q, x)
+    return ladder[q], ladder[q - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +163,8 @@ def sample(space: WienerSpace, rng: np.random.Generator, size: int | None = None
 # ---------------------------------------------------------------------------
 
 class Expression:
-    """Base node.  Subclasses implement ``value`` and ``value_and_tangent``.
+    """Base node.  Subclasses implement ``value`` and ``value_and_tangent``,
+    or ``map`` for a pointwise function of one child (``_Unary``).
 
     ``x`` is a float array of shape (..., n), in any memory layout; values
     come back with shape (...,).  ``value_and_tangent(x, a)`` also returns
@@ -215,8 +241,7 @@ class Coordinate(Expression):
     index: int
 
     def __post_init__(self):
-        if self.index < 0 or self.index != int(self.index):
-            raise ExpressionError(f"coordinate index must be >= 0, got {self.index}")
+        require_integer(self.index, 0, "coordinate index")
 
     def value(self, x):
         return x[..., self.index]
@@ -252,13 +277,20 @@ class Constant(Expression):
         return True
 
 
-@dataclass(frozen=True)
-class Sum(Expression):
-    children: tuple[Expression, ...]
+class _Nary(Expression):
+    """A node over a nonempty tuple ``children``."""
 
     def __post_init__(self):
         if len(self.children) < 1:
-            raise ExpressionError("Sum needs at least one child")
+            raise ExpressionError(f"{type(self).__name__} needs at least one child")
+
+    def coordinates(self):
+        return frozenset().union(*(c.coordinates() for c in self.children))
+
+
+@dataclass(frozen=True)
+class Sum(_Nary):
+    children: tuple[Expression, ...]
 
     def value(self, x):
         val = self.children[0].value(x).copy()
@@ -275,20 +307,13 @@ class Sum(Expression):
             tan = tan + t
         return val, tan
 
-    def coordinates(self):
-        return frozenset().union(*(c.coordinates() for c in self.children))
-
     def is_affine(self):
         return all(c.is_affine() for c in self.children)
 
 
 @dataclass(frozen=True)
-class Product(Expression):
+class Product(_Nary):
     children: tuple[Expression, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 1:
-            raise ExpressionError("Product needs at least one child")
 
     def value(self, x):
         val = self.children[0].value(x)
@@ -304,9 +329,6 @@ class Product(Expression):
             val = val * v
         return val, tan
 
-    def coordinates(self):
-        return frozenset().union(*(c.coordinates() for c in self.children))
-
     def is_affine(self):
         # Affine only when at most one factor depends on the coordinates.
         nonconst = [c for c in self.children if c.coordinates()]
@@ -315,118 +337,98 @@ class Product(Expression):
         return len(nonconst) == 1 and nonconst[0].is_affine()
 
 
-@dataclass(frozen=True)
-class Negate(Expression):
-    child: Expression
+class _Unary(Expression):
+    """A pointwise map f of the value of a node ``child``.
+
+    A subclass states f once, as ``map(v, slope)``, which returns
+    (f(v), f'(v)); the value path passes ``slope`` false and does not read
+    the second entry, so a map that must compute f'(v) returns None there.
+    The tangent is f'(v) * t, the chain rule on the child's tangent t.
+    """
+
+    def map(self, v, slope: bool):
+        raise NotImplementedError
 
     def value(self, x):
-        return -self.child.value(x)
+        return self.map(self.child.value(x), False)[0]
 
     def value_and_tangent(self, x, a):
         v, t = self.child.value_and_tangent(x, a)
-        return -v, -t
+        fv, dfv = self.map(v, True)
+        # An overflow is reported by Functional's finiteness check instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fv, dfv * t
 
     def coordinates(self):
         return self.child.coordinates()
+
+    def is_affine(self):
+        return not self.child.coordinates()
+
+
+@dataclass(frozen=True)
+class Negate(_Unary):
+    child: Expression
+
+    def map(self, v, slope):
+        return -v, -1.0
 
     def is_affine(self):
         return self.child.is_affine()
 
 
 @dataclass(frozen=True)
-class Power(Expression):
+class Power(_Unary):
     child: Expression
     exponent: int
 
     def __post_init__(self):
-        if self.exponent < 1 or self.exponent != int(self.exponent):
-            raise ExpressionError(
-                f"Power exponent must be an integer >= 1, got {self.exponent}"
-            )
+        require_integer(self.exponent, 1, "Power exponent")
 
     # np.power rather than ``**``: a numpy scalar's ``**`` rounds apart from
     # the ufunc, so one point (..., n) would get other bits than a batch.
-    def value(self, x):
-        v = self.child.value(x)
-        return v if self.exponent == 1 else np.power(v, self.exponent)
-
-    def value_and_tangent(self, x, a):
-        v, t = self.child.value_and_tangent(x, a)
+    def map(self, v, slope):
         k = self.exponent
         if k == 1:
-            return v, t
-        return np.power(v, k), (k * np.power(v, k - 1)) * t
-
-    def coordinates(self):
-        return self.child.coordinates()
+            return v, 1.0
+        return np.power(v, k), (k * np.power(v, k - 1)) if slope else None
 
     def is_affine(self):
         return self.exponent == 1 and self.child.is_affine() or not self.child.coordinates()
 
 
 @dataclass(frozen=True)
-class Exp(Expression):
+class Exp(_Unary):
     child: Expression
 
-    def value(self, x):
-        v = self.child.value(x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.exp(v)
-
-    def value_and_tangent(self, x, a):
-        v, t = self.child.value_and_tangent(x, a)
-        # An overflow is reported by Functional's finiteness check instead.
+    def map(self, v, slope):
         with np.errstate(over="ignore", invalid="ignore"):
             ev = np.exp(v)
-            return ev, ev * t
-
-    def coordinates(self):
-        return self.child.coordinates()
-
-    def is_affine(self):
-        return not self.child.coordinates()
+        return ev, ev
 
 
 @dataclass(frozen=True)
-class Tanh(Expression):
+class Tanh(_Unary):
     child: Expression
 
-    def value(self, x):
-        return np.tanh(self.child.value(x))
-
-    def value_and_tangent(self, x, a):
-        v, t = self.child.value_and_tangent(x, a)
+    def map(self, v, slope):
         tv = np.tanh(v)
-        return tv, (1.0 - tv * tv) * t
-
-    def coordinates(self):
-        return self.child.coordinates()
-
-    def is_affine(self):
-        return not self.child.coordinates()
+        return tv, (1.0 - tv * tv) if slope else None
 
 
 @dataclass(frozen=True)
-class Hermite(Expression):
+class Hermite(_Unary):
     """H_q applied to a subexpression; H_q' = q * H_{q-1} drives the gradient."""
 
     order: int
     child: Expression
 
     def __post_init__(self):
-        if self.order < 0 or self.order != int(self.order):
-            raise ExpressionError(f"Hermite order must be >= 0, got {self.order}")
+        require_integer(self.order, 0, "Hermite order")
 
-    def value(self, x):
-        return hermite_value(self.order, self.child.value(x))
-
-    def value_and_tangent(self, x, a):
-        v, t = self.child.value_and_tangent(x, a)
+    def map(self, v, slope):
         hq, hq_minus = hermite_pair(self.order, v)
-        return hq, (self.order * hq_minus) * t
-
-    def coordinates(self):
-        return self.child.coordinates()
+        return hq, (self.order * hq_minus) if slope else None
 
     def is_affine(self):
         if self.order == 0 or not self.child.coordinates():

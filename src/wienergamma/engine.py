@@ -237,7 +237,7 @@ def coupled_gamma_values(f, g, points: np.ndarray, cfg: MehlerConfig,
 
 
 def copy_mean(values: np.ndarray) -> np.ndarray:
-    """``np.mean(values, axis=1)`` of an (n_points, per) array, bit for bit.
+    """``np.mean(values, axis=1)`` of an (n_points, per, ...) array, bit for bit.
 
     Below 8 copies numpy adds a row's entries one by one onto 0.0 and divides
     once, but runs one reduction loop per row; adding the columns in that
@@ -265,7 +265,7 @@ def minus_dl_gradient_estimates(functionals, points: np.ndarray, cfg: MehlerConf
     """
     repeated, inner = _repeated_points_and_copies(points, cfg, rng)
     return mehler_integral(repeated, inner, cfg, lambda y: np.stack(
-        [np.mean(f.gradient(y), axis=1) for f in functionals]))
+        [copy_mean(f.gradient(y)) for f in functionals]))
 
 
 def require_centered(f, points: np.ndarray, what: str = "functional"):

@@ -35,6 +35,7 @@ from .core import WienerSpace, build_space
 from .engine import (
     Estimate,
     MehlerConfig,
+    copy_mean,
     inner_copies_per_point,
     inner_normals,
     mean_estimate,
@@ -238,7 +239,7 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
             means = []
             for (s_idx, t_idx), v in zip(pairs, projected):
                 d = _derivative_difference(c_y, s_idx, t_idx).transpose(1, 0, 2)
-                means.append(np.mean((v[:, None, :] @ d)[:, 0], axis=1))
+                means.append(copy_mean((v[:, None, :] @ d)[:, 0]))
             return np.stack(means)
 
         return mehler_integral(xi[:, None, :], inner, cfg, term)

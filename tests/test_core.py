@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wienergamma.chaos import form
 from wienergamma.core import (
     Constant,
     Coordinate,
@@ -120,6 +121,23 @@ class TestHermite:
                 se = np.std(prod, ddof=1) / math.sqrt(xs.size)
                 target = math.factorial(q) if p == q else 0.0
                 assert abs(mean - target) < 3.0 * se + 1e-12
+
+
+INTEGER_SITES = {
+    "coordinate index": lambda v: Coordinate(v),
+    "power exponent": lambda v: Power(w(0), v),
+    "hermite order": lambda v: Hermite(v, w(0)),
+    "hermite_pair order": lambda v: hermite_pair(v, np.zeros(3)),
+    "chaos factor index": lambda v: form(build_space(4), (1.0, ((v, 2),))),
+    "chaos factor order": lambda v: form(build_space(4), (1.0, ((0, v),))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, -1, "2"])
+def test_integer_parameters_reject_non_integers(site, bad):
+    with pytest.raises(ExpressionError, match="must be an integer >="):
+        INTEGER_SITES[site](bad)
 
 
 class TestEvaluation:

@@ -79,10 +79,14 @@ class TestRunningMoments:
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(1, 20), st.integers(1, 300), st.booleans(), st.integers(0, 2**32 - 1))
-def test_copy_mean_is_numpy_mean_bit_for_bit(per, n_points, fortran, seed):
+@given(st.integers(1, 20), st.integers(1, 300), st.sampled_from([(), (5,)]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_copy_mean_is_numpy_mean_bit_for_bit(per, n_points, trailing, fortran, seed):
+    # (n_points, per) as the Gamma integrand's values, (n_points, per, 5) as
+    # the -D L^{-1} gradients of a 5-dimensional space.
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((n_points, per)) * np.exp(rng.uniform(-30, 30, (n_points, per)))
+    shape = (n_points, per) + trailing
+    values = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
     values[rng.random(values.shape) < 0.2] = 0.0
     values[rng.random(values.shape) < 0.2] = -0.0
     values[: min(2, n_points)] = -0.0  # all-negative-zero rows
