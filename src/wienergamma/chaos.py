@@ -35,17 +35,21 @@ class ChaosForm:
     def __post_init__(self):
         if not self.space.is_identity_gram():
             raise ExpressionError("chaos forms require an identity-Gram space")
+        terms = []
         for coeff, factors in self.terms:
             if not np.isfinite(coeff):
                 raise ExpressionError("term coefficient must be finite")
+            # Kept as the ints that require_integer returns, which index arrays.
+            factors = tuple((require_integer(i, 0, "coordinate index"),
+                             require_integer(q, 1, "factor order")) for i, q in factors)
             indices = [i for i, _ in factors]
             if len(set(indices)) != len(indices):
                 raise ExpressionError(f"repeated coordinate in term {factors}")
-            for i, q in factors:
-                require_integer(q, 1, "factor order")
-                if require_integer(i, 0, "coordinate index") >= self.space.dim:
-                    raise ExpressionError(
-                        f"coordinate {i} out of range for dimension {self.space.dim}")
+            if max(indices, default=0) >= self.space.dim:
+                raise ExpressionError(f"coordinate {max(indices)} out of range for "
+                                      f"dimension {self.space.dim}")
+            terms.append((coeff, factors))
+        object.__setattr__(self, "terms", tuple(terms))
 
     def mean(self) -> float:
         """E[form]: only constant terms contribute."""
@@ -69,14 +73,10 @@ class ChaosForm:
     def gradient(self, x, along=None) -> np.ndarray:
         """DF(x), C-ordered with shape (..., n); with ``along``, which
         broadcasts against ``x``, the derivative <DF(x), along> instead."""
-        x = np.asarray(x, dtype=float)
-        if along is not None:
-            along = np.asarray(along, dtype=float)
         return self._weighted_gradient(x, lambda q: 1.0, along)
 
     def minus_dl_gradient(self, x) -> np.ndarray:
         """Gradient of -L^{-1} applied to the form: term of order q scaled by 1/q."""
-        x = np.asarray(x, dtype=float)
         return self._weighted_gradient(x, lambda q: 1.0 / q)
 
     def _ladders(self, x) -> dict:
@@ -93,15 +93,17 @@ class ChaosForm:
         # the gradient then rounds the same for every input layout.  Each
         # partial derivative is scale * (its factors in term order), with
         # q * H_{q-1} in place of H_q for the differentiated factor and the
-        # exact ones of a first-order factor's derivative skipped; along a
-        # direction, it is multiplied by its entry of the direction last.
-        # Every partial is formed in one buffer that is reused.
+        # exact ones of a first-order factor's derivative skipped, times its
+        # entry of the direction last, in one reused buffer.  As in ``core``,
+        # the dense gradient is the tangent along the rows of the identity:
+        # entry i sums the same partials in the same order, and adding +-0.0
+        # leaves the other entries' sums, which start at +0.0, unchanged.
+        x = np.asarray(x, dtype=float)
         if along is None:
-            shape = x.shape[:-1]
-            grad = np.zeros(x.shape)
-        else:
-            shape = np.broadcast_shapes(x.shape, along.shape)[:-1]
-            grad = np.zeros(shape)
+            x, along = x[..., None, :], np.eye(x.shape[-1])
+        along = np.asarray(along, dtype=float)
+        shape = np.broadcast_shapes(x.shape, along.shape)[:-1]
+        grad = np.zeros(shape)
         ladders = self._ladders(x)
         derivs = {}  # (i, q) -> q * H_{q-1}(x[..., i]) for q >= 2
         part = np.empty(shape)
@@ -122,11 +124,8 @@ class ChaosForm:
                         part *= f
                 else:
                     part.fill(scale)
-                if along is None:
-                    grad[..., i] += part
-                else:
-                    part *= along[..., i]
-                    grad += part
+                part *= along[..., i]
+                grad += part
         return grad
 
     # The Monte Carlo engine works through this Functional-like surface.

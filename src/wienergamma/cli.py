@@ -41,7 +41,7 @@ from .comparison import (
     slepian_phi_prime,
 )
 from .core import Functional, Hermite, Tanh, build_space, make_field, sample, w
-from .engine import MehlerConfig, gamma_pointwise, ibp_residual, poincare_check
+from .engine import MehlerConfig, gamma_pointwise, ibp_residual, mean_estimate, poincare_check
 from .fbm import (
     NEG_TANH_DRIFT,
     TANH_DRIFT,
@@ -450,11 +450,10 @@ def run_perturbation(params, seed, workers, cfg):
     psi = exp_linear_function(np.asarray(params["theta"], dtype=float))
     eval_pts = sample(space, np.random.default_rng(np.random.SeedSequence([seed, 0xA0])),
                       n_value)
-    vf = psi.fun(f_field.eval_all(eval_pts))
-    vg = psi.fun(g_field.eval_all(eval_pts))
-    se = math.hypot(float(np.std(vf, ddof=1)), float(np.std(vg, ddof=1))) / math.sqrt(n_value)
-    lhs, rhs = float(np.mean(vf)), float(np.mean(vg))
-    rows.append(lower("perturbation/payoff-comparison", lhs, rhs, se))
+    e_f = mean_estimate([psi.fun(f_field.eval_all(eval_pts))])
+    e_g = mean_estimate([psi.fun(g_field.eval_all(eval_pts))])
+    rows.append(lower("perturbation/payoff-comparison", e_f.value, e_g.value,
+                      math.hypot(e_f.std_error, e_g.std_error)))
     return rows
 
 

@@ -250,26 +250,27 @@ def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
     return _phi_prime(pair, fn, t, cfg, n_outer, seed, workers, 0x51E)
 
 
+def _field_mean(fld: RandomField, fn, n_samples: int, seed: int, workers: int,
+                label: int) -> Estimate:
+    """E[fn(field)] by plain Monte Carlo; ``fn`` maps field values (B, d) to
+    (B,), and ``label`` keys the streams of ``run_chunked``."""
+
+    def job(chunk, rng):
+        return fn(fld.eval_all(sample(fld.space, rng, chunk)))
+
+    return mean_estimate(run_chunked(n_samples, workers, seed, label, job))
+
+
 def expected_max(fld: RandomField, n_samples: int, seed: int = 0,
                  workers: int = 1) -> Estimate:
     """E[max_i field_i] by plain Monte Carlo."""
-
-    def job(chunk, rng):
-        pts = sample(fld.space, rng, chunk)
-        return np.max(fld.eval_all(pts), axis=-1)
-
-    return mean_estimate(run_chunked(n_samples, workers, seed, 0xE3A, job))
+    return _field_mean(fld, lambda v: np.max(v, axis=-1), n_samples, seed, workers, 0xE3A)
 
 
 def expected_value(fld: RandomField, fn: HessianFunction, n_samples: int,
                    seed: int = 0, workers: int = 1) -> Estimate:
     """E[f(field)] by plain Monte Carlo."""
-
-    def job(chunk, rng):
-        pts = sample(fld.space, rng, chunk)
-        return fn.fun(fld.eval_all(pts))
-
-    return mean_estimate(run_chunked(n_samples, workers, seed, 0x5E2, job))
+    return _field_mean(fld, fn.fun, n_samples, seed, workers, 0x5E2)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +344,11 @@ def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
         max_se = max(max_se, float(errors.max()))
 
     bound = math.exp(-float(x @ x) / (2.0 * operator_norm(c_matrix)))
-
-    def job(chunk, rng):
-        sample_pts = sample(fld.space, rng, chunk)
-        vals = fld.eval_all(sample_pts)
-        return np.all(vals >= x, axis=-1).astype(float)
-
-    p_hat = mean_estimate(run_chunked(n_outer, workers, seed, 0xC02, job)).value
+    tail = _field_mean(fld, lambda v: np.all(v >= x, axis=-1).astype(float), n_outer,
+                       seed, workers, 0xC02)
     return ConcentrationResult(
-        tail=p_hat,
-        tail_std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n_outer),
+        tail=tail.value,
+        tail_std_error=tail.std_error,
         bound=bound,
         psd_margin=margin,
         psd_std_error=max_se,

@@ -241,7 +241,7 @@ class Coordinate(Expression):
     index: int
 
     def __post_init__(self):
-        require_integer(self.index, 0, "coordinate index")
+        object.__setattr__(self, "index", require_integer(self.index, 0, "coordinate index"))
 
     def value(self, x):
         return x[..., self.index]

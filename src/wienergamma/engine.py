@@ -42,7 +42,8 @@ points and copies, and each row's arithmetic on them is unchanged.
 
 Monte Carlo estimators return an ``Estimate`` (a mean and its standard
 error) or an (lhs, rhs) pair of them, and ``mean_estimate`` is the one fold
-from sample batches to an Estimate.
+from sample batches to an Estimate: every mean and standard error of the
+package comes from it.
 
 Two sampling regimes share this representation:
 
@@ -276,10 +277,8 @@ def require_centered(f, points: np.ndarray, what: str = "functional"):
         if f.mean() != 0.0:
             raise CenteringError(f"{what} is not centered: exact mean {f.mean():.4g}")
         return
-    vals = f.eval(points)
-    n = vals.size
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    est = mean_estimate([f.eval(points)])
+    mean, se = est.value, est.std_error
     if abs(mean) > 3.0 * se and se > 0.0:
         raise CenteringError(
             f"{what} is not centered: sample mean {mean:.4g} exceeds 3 x SE {se:.4g}")

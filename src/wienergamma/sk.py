@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtri
 
-from .engine import Estimate
+from .engine import Estimate, mean_estimate
 
 MAX_EXACT_SPINS = 24
 MAX_GIBBS_SPINS = 20
@@ -90,6 +90,19 @@ class FreeEnergyResult:
     value: float  # (1/N) log Z
 
 
+def _log_mean_exp(exponents, n: int) -> float:
+    """(1/N) log(2^{-N} sum exp(x)) over an iterator of the 2^N exponents
+    x = -beta H(sigma), taken in visit order with a running max shift."""
+    running_max, running_sum = next(exponents), 1.0
+    for x in exponents:
+        if x > running_max:
+            running_sum = running_sum * math.exp(running_max - x) + 1.0
+            running_max = x
+        else:
+            running_sum += math.exp(x - running_max)
+    return (running_max + math.log(running_sum) - n * math.log(2.0)) / n
+
+
 def free_energy_exact(coupling: np.ndarray, beta: float) -> FreeEnergyResult:
     """Exact (1/N) log Z by a Gray-code walk with exact pair-sum accumulation.
 
@@ -113,60 +126,38 @@ def free_energy_exact(coupling: np.ndarray, beta: float) -> FreeEnergyResult:
         for j in range(i):
             _grow_expansion(partials, row[j])
 
-    def current_energy() -> float:
-        return scale * math.fsum(partials)
+    def walk():
+        yield -beta * (scale * math.fsum(partials))
+        for step in range(1, 2**n):
+            k = ((step & -step).bit_length() - 1)
+            sk = sigma[k]
+            row = j_rows[k]
+            for j in range(n):
+                if j != k:
+                    _grow_expansion(partials, -2.0 * sk * sigma[j] * row[j])
+            sigma[k] = -sk
+            yield -beta * (scale * math.fsum(partials))
 
-    log2 = math.log(2.0)
-    x = -beta * current_energy()
-    running_max = x
-    running_sum = 1.0
-    for step in range(1, 2**n):
-        k = ((step & -step).bit_length() - 1)
-        sk = sigma[k]
-        row = j_rows[k]
-        for j in range(n):
-            if j != k:
-                _grow_expansion(partials, -2.0 * sk * sigma[j] * row[j])
-        sigma[k] = -sk
-        x = -beta * current_energy()
-        if x > running_max:
-            running_sum = running_sum * math.exp(running_max - x) + 1.0
-            running_max = x
-        else:
-            running_sum += math.exp(x - running_max)
-    log_z = running_max + math.log(running_sum) - n * log2
-    return FreeEnergyResult(log_z / n)
+    return FreeEnergyResult(_log_mean_exp(walk(), n))
 
 
 def free_energy_reference(coupling: np.ndarray, beta: float) -> FreeEnergyResult:
     """From-scratch enumeration in the same Gray order (cross-check route).
 
     Each configuration's pair sum is recomputed independently with exact
-    summation; the log-sum-exp accumulation is identical to the walk's.
+    summation; the log-sum-exp accumulation is the walk's.
     """
     coupling = np.asarray(coupling, dtype=float)
     n = coupling.shape[0]
     scale = coupling_scale(n)
     rows, cols = upper_pairs(n)
-    signs = all_configurations(n)
 
-    log2 = math.log(2.0)
-    running_max = -math.inf
-    running_sum = 0.0
-    first = True
-    for g in range(2**n):
-        sigma = signs[g].astype(float)
-        terms = sigma[rows] * sigma[cols] * coupling[rows, cols]
-        x = -beta * (scale * math.fsum(terms.tolist()))
-        if first:
-            running_max, running_sum, first = x, 1.0, False
-        elif x > running_max:
-            running_sum = running_sum * math.exp(running_max - x) + 1.0
-            running_max = x
-        else:
-            running_sum += math.exp(x - running_max)
-    log_z = running_max + math.log(running_sum) - n * log2
-    return FreeEnergyResult(log_z / n)
+    def configurations():
+        for sigma in _signs(n):
+            terms = sigma[rows] * sigma[cols] * coupling[rows, cols]
+            yield -beta * (scale * math.fsum(terms.tolist()))
+
+    return FreeEnergyResult(_log_mean_exp(configurations(), n))
 
 
 def free_energy_batch(couplings: np.ndarray, beta: float) -> np.ndarray:
@@ -277,9 +268,6 @@ class Medium:
     gamma_diag: np.ndarray  # (N, N) symmetric; entry (i, j) is Gamma_{J_ij, J_ij}
 
 
-_CORR_CHOL_CACHE: dict = {}
-
-
 def _correlated_cov(n: int, r: float) -> np.ndarray:
     """Covariance (1 + |i-k| + |j-l|)^{-r} of the entries in half-index order."""
     rows, cols = upper_pairs(n)
@@ -288,11 +276,12 @@ def _correlated_cov(n: int, r: float) -> np.ndarray:
     return (1.0 + di + dj) ** (-float(r))
 
 
+@functools.lru_cache(maxsize=16)
 def _correlated_factor(n: int, r: float) -> np.ndarray:
-    key = (n, float(r))
-    if key not in _CORR_CHOL_CACHE:
-        _CORR_CHOL_CACHE[key] = np.linalg.cholesky(_correlated_cov(n, r))
-    return _CORR_CHOL_CACHE[key]
+    """Read-only Cholesky factor of ``_correlated_cov(n, r)``."""
+    factor = np.linalg.cholesky(_correlated_cov(n, r))
+    factor.setflags(write=False)
+    return factor
 
 
 def _symmetrize(entries: np.ndarray, n: int) -> np.ndarray:
@@ -333,6 +322,13 @@ def medium_sample(family: MediumFamily, n: int, rng: np.random.Generator) -> Med
     """Draw one medium with its per-entry Gamma data attached."""
     couplings, gammas = medium_batch(family, n, rng, 1)
     return Medium(n=n, coupling=couplings[0], gamma_diag=gammas[0])
+
+
+def _free_energies(family: MediumFamily, n: int, beta: float, k: int,
+                   key: list) -> np.ndarray:
+    """Free energies of k media of ``family`` drawn from the stream ``key``."""
+    rng = np.random.default_rng(np.random.SeedSequence(key))
+    return free_energy_batch(medium_batch(family, n, rng, k)[0], beta)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +426,9 @@ def generic_bound_check(family: MediumFamily, n: int, beta: float,
             f"(built-ins: {sorted(TEST_MAPS)})")
     f = TEST_MAPS[f_name]
 
-    rng_star = np.random.default_rng(np.random.SeedSequence([seed, 0x5A, n]))
-    rng_fam = np.random.default_rng(np.random.SeedSequence([seed, 0xFA, n]))
-    star, _ = medium_batch(IID_GAUSSIAN, n, rng_star, n_media)
-    fam, _ = medium_batch(family, n, rng_fam, n_media)
-    f_star = f(free_energy_batch(star, beta))
-    f_fam = f(free_energy_batch(fam, beta))
-    lhs = Estimate(abs(float(np.mean(f_star) - np.mean(f_fam))), math.hypot(
-        float(np.std(f_star, ddof=1)) / math.sqrt(n_media),
-        float(np.std(f_fam, ddof=1)) / math.sqrt(n_media),
-    ))
+    star = mean_estimate([f(_free_energies(IID_GAUSSIAN, n, beta, n_media, [seed, 0x5A, n]))])
+    fam = mean_estimate([f(_free_energies(family, n, beta, n_media, [seed, 0xFA, n]))])
+    lhs = Estimate(abs(star.value - fam.value), math.hypot(star.std_error, fam.std_error))
     audit = condition_audit(family, n)
     return lhs, (3.0 * beta**2 / (2.0 * n**2)) * (audit.sum_diag_gap + audit.sum_cross_abs)
 
@@ -502,10 +491,8 @@ def paired_chaos2_gap(n: int, beta: float, n_media: int, seed: int = 0,
     m = n
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6A9, n]))
     diffs = []
-    remaining = n_media
-    while remaining > 0:
-        b = min(batch, remaining)
-        remaining -= b
+    for lo in range(0, n_media, batch):
+        b = min(batch, n_media - lo)
         z = rng.standard_normal((b, n * (n - 1) // 2, m))
         chaos = np.sum(z * z - 1.0, axis=2) / math.sqrt(2.0 * m)
         star = chaos2_star_coupling(chaos, m)
@@ -514,9 +501,7 @@ def paired_chaos2_gap(n: int, beta: float, n_media: int, seed: int = 0,
         control = (beta**2 / n**2) * (
             np.sum(chaos**2 - 1.0, axis=1) - np.sum(star**2 - 1.0, axis=1))
         diffs.append(p_chaos - p_star - control)
-    diffs = np.concatenate(diffs)
-    return Estimate(float(np.mean(diffs)),
-                    float(np.std(diffs, ddof=1)) / math.sqrt(diffs.size))
+    return mean_estimate(diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -538,26 +523,12 @@ def convergence_experiment(families, beta: float, ns, n_media: int,
     IID-Gaussian star value at the same N."""
     rows: list[ConvergenceRow] = []
     for n in ns:
-        rng_star = np.random.default_rng(np.random.SeedSequence([seed, 0x57A, n]))
-        star_vals = free_energy_batch(medium_batch(IID_GAUSSIAN, n, rng_star, n_media)[0],
-                                      beta)
-        star_mean = float(np.mean(star_vals))
-        rows.append(ConvergenceRow(
-            family_label="iid-gaussian*",
-            n=n,
-            mean=star_mean,
-            std_error=float(np.std(star_vals, ddof=1)) / math.sqrt(n_media),
-            gap_to_star=0.0,
-        ))
+        star = mean_estimate([_free_energies(IID_GAUSSIAN, n, beta, n_media,
+                                             [seed, 0x57A, n])])
+        rows.append(ConvergenceRow("iid-gaussian*", n, star.value, star.std_error, 0.0))
         for fam_index, family in enumerate(families):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, 0xFA2, n, fam_index]))
-            vals = free_energy_batch(medium_batch(family, n, rng, n_media)[0], beta)
-            rows.append(ConvergenceRow(
-                family_label=family.label(n),
-                n=n,
-                mean=float(np.mean(vals)),
-                std_error=float(np.std(vals, ddof=1)) / math.sqrt(n_media),
-                gap_to_star=float(np.mean(vals)) - star_mean,
-            ))
+            est = mean_estimate([_free_energies(family, n, beta, n_media,
+                                                [seed, 0xFA2, n, fam_index])])
+            rows.append(ConvergenceRow(family.label(n), n, est.value, est.std_error,
+                                       est.value - star.value))
     return rows

@@ -140,6 +140,23 @@ def test_integer_parameters_reject_non_integers(site, bad):
         INTEGER_SITES[site](bad)
 
 
+def _site_values(built):
+    """Values and gradients of what an integer site builds, at fixed points."""
+    x = np.linspace(-1.5, 1.5, 12).reshape(3, 4)
+    if isinstance(built, tuple):  # hermite_pair's (H_q, H_{q-1})
+        return built
+    if hasattr(built, "terms"):  # a chaos form
+        return built.value(x), built.gradient(x)
+    return built.value_and_gradient(x)
+
+
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_parameters_accept_integral_floats(site):
+    for got, want in zip(_site_values(INTEGER_SITES[site](2.0)),
+                         _site_values(INTEGER_SITES[site](2))):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestEvaluation:
     def test_coordinate(self):
         space = build_space(3)

@@ -98,7 +98,7 @@ class TestFreeEnergyExact:
 
     def test_bit_exact_against_reference(self):
         rng = np.random.default_rng(4)
-        for n in (2, 5, 8, 10):
+        for n in (1, 2, 3, 5, 8, 10):
             j = random_coupling(n, rng)
             walked = free_energy_exact(j, 1.3).value
             direct = free_energy_reference(j, 1.3).value
