@@ -21,7 +21,6 @@ from .core import (
     WienerSpace,
     WienerSpaceError,
     build_space,
-    hermite_value,
     make_field,
     sample,
     w,

@@ -40,7 +40,16 @@ from .comparison import (
     sf_phi_prime,
     slepian_phi_prime,
 )
-from .core import Functional, Hermite, Tanh, build_space, make_field, sample, w
+from .core import (
+    Functional,
+    Hermite,
+    Tanh,
+    build_space,
+    make_field,
+    require_integer,
+    sample,
+    w,
+)
 from .engine import MehlerConfig, gamma_pointwise, ibp_residual, mean_estimate, poincare_check
 from .fbm import (
     NEG_TANH_DRIFT,
@@ -209,6 +218,11 @@ class Experiment(NamedTuple):
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _sizes(ns, low: int) -> list[int]:
+    """The SK sizes of params key 'ns', each an integer >= ``low``."""
+    return [require_integer(n, low, "params key 'ns' entry") for n in ns]
 
 
 def _no_checks(command: str, params: dict) -> ValueError:
@@ -457,15 +471,29 @@ def run_perturbation(params, seed, workers, cfg):
     return rows
 
 
+def _delta_pairs(given) -> list[tuple[float, float]]:
+    """params key 'delta_pairs' as (s, t) fractions of the horizon."""
+    try:
+        pairs = [(float(s), float(t)) for s, t in given]
+        ok = all(0.0 <= s <= t <= 1.0 for s, t in pairs)
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError("params key 'delta_pairs' must be a list of [s, t] pairs "
+                         f"with 0 <= s <= t <= 1, got {given!r}")
+    return pairs
+
+
 @experiment("fbm-sde", "fBm-driven SDE: squared-metric and supremum comparisons",
             "Sudakov-Fernique comparison for fBm SDEs",
             hurst=0.7, m=128, horizon=1.0, n_paths=Param(100_000, low=2),
-            n_outer=Param(400, low=2), dump_paths=0,
+            n_outer=Param(400, low=2), dump_paths=Param(0, low=0),
             delta_pairs=((0.0, 1.0), (0.125, 0.375), (0.25, 0.75), (0.5, 0.625),
                          (0.25, 1.0)))
 def run_fbm_sde(params, seed, workers, cfg):
     """Supremum and squared-metric checks for the fBm-driven SDE."""
     m, n_paths, n_dump = params["m"], params["n_paths"], params["dump_paths"]
+    pairs = _delta_pairs(params["delta_pairs"])
     grid = uniform_grid(params["hurst"], params["horizon"], m)
     rows = []
     tables = {}
@@ -489,11 +517,10 @@ def run_fbm_sde(params, seed, workers, cfg):
         gap = abs(grid.times[t_idx] - grid.times[s_idx])
         return s_idx, t_idx, float(gap ** (2.0 * grid.hurst))
 
-    driftless = [delta_pair(frac_s, frac_t) for frac_s, frac_t in params["delta_pairs"]]
+    driftless = [delta_pair(frac_s, frac_t) for frac_s, frac_t in pairs]
     ests = delta_fbm(grid, ZERO_DRIFT, [pair[:2] for pair in driftless], cfg=cfg,
                      n_outer=8, seed=seed, workers=1)
-    for (frac_s, frac_t), (_, _, reference), est in zip(params["delta_pairs"],
-                                                         driftless, ests):
+    for (frac_s, frac_t), (_, _, reference), est in zip(pairs, driftless, ests):
         rows.append(close(f"fbm/delta-driftless/s={frac_s:g},t={frac_t:g}",
                           est.value, reference, est.std_error, rel=0.02))
 
@@ -555,7 +582,7 @@ def run_sk_free_energy(params, seed, workers, cfg):
 def run_sk_generic_bound(params, seed, workers, cfg):
     """Free-energy comparison bound cells over families and sizes, plus the
     paired-gap ladder for the size-scaled chaos family."""
-    ns, beta = params["ns"], params["beta"]
+    ns, beta = _sizes(params["ns"], 2), params["beta"]
     rows = []
     for spec in params["families"]:
         family = _family_from_spec(spec)
@@ -611,9 +638,10 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
 def run_sk_convergence(params, seed, workers, cfg):
     """Free-energy table across families and sizes with gaps to the star law."""
     families = [_family_from_spec(s) for s in params["families"]]
+    ns = _sizes(params["ns"], 1)
     rows = []
-    for row in convergence_experiment(families, params["beta"], params["ns"],
-                                      params["n_media"], seed=seed):
+    for row in convergence_experiment(families, params["beta"], ns, params["n_media"],
+                                      seed=seed):
         rows.append(Row(
             f"sk/convergence/{row.family_label}/N={row.n}", row.mean,
             row.gap_to_star, row.std_error, True, RULE_REPORT))

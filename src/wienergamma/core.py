@@ -74,11 +74,6 @@ def hermite_ladder(q: int, x) -> list:
     return ladder
 
 
-def hermite_value(q: int, x):
-    """H_q(x), from H_0 = 1 and H_1 = x by the recurrence of ``hermite_ladder``."""
-    return hermite_pair(q, x)[0]
-
-
 def hermite_pair(q: int, x):
     """Return (H_q(x), H_{q-1}(x)); H_{-1} is taken as 0.
 

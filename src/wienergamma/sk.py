@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, ndtri
 
 from .engine import Estimate, mean_estimate
 
@@ -337,6 +336,8 @@ def _free_energies(family: MediumFamily, n: int, beta: float, k: int,
 
 def chaos2_abs_gamma_gap(m: int) -> float:
     """E|chi^2_m / m - 1| in closed form via the regularized incomplete gamma."""
+    from scipy.special import gammainc  # loaded only where SK chaos2 needs it
+
     half = 0.5 * m
     return 2.0 * float(gammainc(half, half) - gammainc(half + 1.0, half))
 
@@ -349,21 +350,6 @@ class ConditionAudit:
     max_row_cross_abs: float  # worst single entry's sum of |Gamma| to the others
     sum_diag_gap: float    # sum over entries of E|Gamma_ee - 1|
     moment_bound: float    # sup over entries of E[|Gamma_ee|^{1+eps}], eps = 1
-
-    @property
-    def cross_normalized(self) -> float:
-        """Full pair sum over N^2: the generic-bound ingredient.  For a decay
-        law with summable tails this converges to a lattice constant rather
-        than vanishing; the per-entry row sum is the decaying diagnostic."""
-        return self.sum_cross_abs / self.n**2
-
-    @property
-    def cross_row_normalized(self) -> float:
-        return self.max_row_cross_abs / self.n**2
-
-    @property
-    def diag_normalized(self) -> float:
-        return self.sum_diag_gap / self.n**2
 
 
 def condition_audit(family: MediumFamily, n: int) -> ConditionAudit:
@@ -474,6 +460,8 @@ def chaos2_star_coupling(entries: np.ndarray, m: int) -> np.ndarray:
     ndtri(F_X(m + e sqrt(2m))) is exact in law and keeps the coupled pair
     highly correlated, which is what makes paired gap estimates tight.
     """
+    from scipy.special import gammainc, ndtri
+
     x = np.clip(m + entries * math.sqrt(2.0 * m), 0.0, None)
     u = gammainc(0.5 * m, 0.5 * x)
     return ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -7,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wienergamma
 from wienergamma import cli, comparison, engine
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 from wienergamma.engine import MehlerConfig
 from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
+from test_acceptance import SMOKE_CONFIGS
 
 
 SMALL_MEHLER = {"quad_nodes": 8, "mc_samples": 256}
@@ -269,6 +274,20 @@ BAD_INPUTS = {
     "ibp-no-outer": (_config("ibp-check", n_outer=0), "error in config ", "'n_outer'"),
     "poincare-one-outer": (_config("poincare", n_outer=1), "error in config ",
                            "'n_outer'"),
+    # SK sizes below the smallest medium the command can draw and compare.
+    "generic-size-zero": (_config("sk-generic-bound", ns=[0]), "error: ", "'ns'"),
+    "generic-size-one": (_config("sk-generic-bound", ns=[1]), "error: ", "'ns'"),
+    "convergence-size-zero": (_config("sk-convergence", ns=[0]), "error: ", "'ns'"),
+    "fbm-negative-dump": (_config("fbm-sde", dump_paths=-1), "error in config ",
+                          "'dump_paths'"),
+    "fbm-short-pair": (_config("fbm-sde", delta_pairs=[[0.5]]), "error: ",
+                       "'delta_pairs'"),
+    "fbm-text-pair": (_config("fbm-sde", delta_pairs=[["a", 1]]), "error: ",
+                      "'delta_pairs'"),
+    "fbm-pair-past-horizon": (_config("fbm-sde", delta_pairs=[[0.5, 2.0]]), "error: ",
+                              "'delta_pairs'"),
+    "fbm-pairs-not-a-list": (_config("fbm-sde", delta_pairs=5), "error: ",
+                             "'delta_pairs'"),
 }
 
 
@@ -297,6 +316,27 @@ def test_empty_check_list_rejected_before_any_draw(tmp_path, capsys, monkeypatch
     assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and names in err and err.count("\n") == 1
+
+
+LOADED_AFTER_EACH_RUN = """
+import json, sys
+from wienergamma.cli import run
+for config in json.load(sys.stdin):
+    run(config)
+    print("scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_special_loads_only_for_sk_chaos2():
+    configs = [{"command": name, "seed": 3, "mehler": SMALL_MEHLER,
+                "params": SMOKE_CONFIGS[name]}
+               for name in ("gamma", "fbm-sde", "sk-generic-bound")]
+    assert configs[-1]["params"]["families"][0]["kind"] == "clt-chaos2"
+    src = str(Path(wienergamma.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", LOADED_AFTER_EACH_RUN],
+                         input=json.dumps(configs), capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_readme_config_example_is_accepted():

@@ -17,7 +17,6 @@ from wienergamma.core import (
     WienerSpaceError,
     build_space,
     hermite_pair,
-    hermite_value,
     make_field,
     sample,
     w,
@@ -27,6 +26,7 @@ from util import (
     central_difference_gradient,
     dense_value_and_gradient,
     functional_difference,
+    hermite_value,
     point_layouts,
     random_expression,
     reference_hermite_pair,

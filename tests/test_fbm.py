@@ -11,7 +11,9 @@ from wienergamma.engine import (
     mean_estimate,
     mehler_integral,
 )
+from wienergamma import fbm
 from wienergamma.fbm import (
+    SUP_BLOCK,
     _cumulative_bprime,
     DriftSpec,
     FbmGrid,
@@ -47,6 +49,28 @@ def path_major_euler(x0, drift, fbm_paths, times):
         db = fbm_paths[..., k + 1] - fbm_paths[..., k]
         out[..., k + 1] = out[..., k] + db + drift.b(out[..., k]) * dts[k]
     return out
+
+
+def one_block_sup_comparison(grid, drift, n_paths, seed, workers):
+    """The supremum comparison with each worker chunk drawn, solved and
+    reduced as one block of paths."""
+    space = fbm_space(grid)
+
+    def pilot_job(chunk, rng):
+        paths = fbm_sample(grid, rng, size=chunk, space=space)[0]
+        return euler_solve(0.0, drift, paths, grid.times).sum(axis=0)
+
+    mean_path = sum(run_chunked(n_paths, workers, seed, 0xF1A, pilot_job)) / n_paths
+
+    def main_job(chunk, rng):
+        paths = fbm_sample(grid, rng, size=chunk, space=space)[0]
+        values = euler_solve(0.0, drift, paths, grid.times)
+        values -= mean_path
+        return values.max(axis=-1), paths.max(axis=-1)
+
+    maxima = run_chunked(n_paths, workers, seed, 0xF1B, main_job)
+    return (mean_estimate(sde for sde, _ in maxima),
+            mean_estimate(driving for _, driving in maxima))
 
 
 def delta_whitened_reference(grid, drift, pairs, cfg, n_outer, seed, workers):
@@ -412,6 +436,100 @@ class TestSupComparison:
         sde, driving = sup_comparison(grid, NEG_TANH_DRIFT, n_paths=30_000, seed=22)
         assert upper("sup", sde.value, driving.value,
                      math.hypot(sde.std_error, driving.std_error)).verdict
+
+    @pytest.mark.parametrize("n_paths", [
+        1, SUP_BLOCK - 1, SUP_BLOCK, SUP_BLOCK + 1, SUP_BLOCK + SUP_BLOCK // 2 - 1,
+        SUP_BLOCK + SUP_BLOCK // 2, 2 * SUP_BLOCK + 7, 50_000, 100_000])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("drift", [ZERO_DRIFT, TANH_DRIFT, NEG_TANH_DRIFT],
+                             ids=["zero", "tanh", "neg-tanh"])
+    def test_blocks_match_one_block(self, drift, workers, n_paths):
+        grid = uniform_grid(0.7, 1.0, 16)
+        assert (sup_comparison(grid, drift, n_paths=n_paths, seed=25, workers=workers)
+                == one_block_sup_comparison(grid, drift, n_paths, 25, workers))
+
+    # m = 128 as in the fbm-sde acceptance config; 4096 + 3 ends in a merged tail
+    @pytest.mark.parametrize("n_paths, workers",
+                             [(SUP_BLOCK + 3, 1), (50_000, 1), (100_000, 2)])
+    def test_blocks_match_one_block_on_the_benchmark_grid(self, n_paths, workers):
+        grid = uniform_grid(0.7, 1.0, 128)
+        assert (sup_comparison(grid, TANH_DRIFT, n_paths=n_paths, seed=116,
+                               workers=workers)
+                == one_block_sup_comparison(grid, TANH_DRIFT, n_paths, 116, workers))
+
+    @pytest.mark.parametrize("n_paths", [SUP_BLOCK + 3, SUP_BLOCK + 5, 50_000])
+    def test_block_paths_are_the_one_block_paths(self, monkeypatch, n_paths):
+        # The maxima can hide a last-bit difference in a few paths, so the
+        # paths are compared themselves: with m = 128 a tail of 3 or 5 paths
+        # synthesized on its own rounds differently.
+        blocks = []
+
+        def recording(space, xi, out=None):
+            paths = paths_from_whitened(space, xi, out)
+            blocks.append(paths.copy())
+            return paths
+
+        monkeypatch.setattr(fbm, "paths_from_whitened", recording)
+        grid = uniform_grid(0.7, 1.0, 128)
+        space = fbm_space(grid)
+        sup_comparison(grid, ZERO_DRIFT, n_paths=n_paths, seed=28)
+
+        def one_block(chunk, rng):
+            return fbm_sample(grid, rng, size=chunk, space=space)[0]
+
+        pilot, main = blocks[:len(blocks) // 2], blocks[len(blocks) // 2:]
+        for label, got in ((0xF1A, pilot), (0xF1B, main)):
+            [expected] = run_chunked(n_paths, 1, 28, label, one_block)
+            assert np.array_equal(np.concatenate(got), expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pilot_sums_match_one_block(self, monkeypatch, workers):
+        # The pilot's sum over a chunk's paths is numpy's sum over one block,
+        # bit for bit; rounding there is mostly lost in the division by n_paths,
+        # so the estimates alone would not show it.
+        results = {}
+
+        def recording(*args):
+            label = args[3]
+            results[label] = run_chunked(*args)
+            return results[label]
+
+        monkeypatch.setattr(fbm, "run_chunked", recording)
+        grid = uniform_grid(0.7, 1.0, 128)
+        space = fbm_space(grid)
+        sup_comparison(grid, TANH_DRIFT, n_paths=50_000, seed=27, workers=workers)
+
+        def one_block(chunk, rng):
+            paths = fbm_sample(grid, rng, size=chunk, space=space)[0]
+            return euler_solve(0.0, TANH_DRIFT, paths, grid.times).sum(axis=0)
+
+        expected = run_chunked(50_000, workers, 27, 0xF1A, one_block)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(results[0xF1A], expected, strict=True))
+
+    @pytest.mark.parametrize("n_paths, bounds", [
+        (1, [(0, 1)]),
+        (SUP_BLOCK + SUP_BLOCK // 2 - 1, [(0, SUP_BLOCK + SUP_BLOCK // 2 - 1)]),
+        (SUP_BLOCK + SUP_BLOCK // 2,
+         [(0, SUP_BLOCK), (SUP_BLOCK, SUP_BLOCK + SUP_BLOCK // 2)]),
+        (2 * SUP_BLOCK + 7, [(0, SUP_BLOCK), (SUP_BLOCK, 2 * SUP_BLOCK + 7)])])
+    def test_block_layout(self, n_paths, bounds):
+        # blocks start at multiples of SUP_BLOCK; a tail shorter than half a
+        # block joins the block before it
+        assert fbm._path_blocks(n_paths) == bounds
+
+    def test_chunk_is_solved_block_by_block(self, monkeypatch):
+        sizes = []
+
+        def counting(x0, drift, fbm_paths, times, out=None):
+            sizes.append(len(fbm_paths))
+            return euler_solve(x0, drift, fbm_paths, times, out)
+
+        monkeypatch.setattr(fbm, "euler_solve", counting)
+        sup_comparison(uniform_grid(0.7, 1.0, 16), TANH_DRIFT, n_paths=3 * SUP_BLOCK,
+                       seed=26)
+        # three blocks for the pilot, then three for the main run
+        assert sizes == [SUP_BLOCK] * 6
 
     def test_grid_refinement_within_band(self):
         # Doubling the grid changes E[max B^H] by less than the 3-SE band.

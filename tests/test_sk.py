@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from wienergamma.chaos import form, gamma_oracle
 from wienergamma.cli import upper
@@ -12,6 +12,7 @@ from wienergamma.sk import (
     IID_GAUSSIAN,
     MediumFamily,
     chaos2_abs_gamma_gap,
+    chaos2_star_coupling,
     condition_audit,
     convergence_experiment,
     coupling_scale,
@@ -27,7 +28,7 @@ from wienergamma.sk import (
     spin_correlations,
     upper_pairs,
 )
-from util import hamiltonian
+from util import cross_normalized, cross_row_normalized, diag_normalized, hamiltonian
 
 CORRELATED = MediumFamily("correlated-gaussian", r=3.0)
 
@@ -252,9 +253,24 @@ class TestConditionAudit:
                 lambda x: abs(x / m - 1.0) * stats.chi2.pdf(x, df=m), 0, np.inf)
             assert chaos2_abs_gamma_gap(m) == pytest.approx(quad_value, abs=1e-9)
 
+    def test_chaos2_gap_is_the_incomplete_gamma_formula(self):
+        for m in range(1, 9):
+            half = 0.5 * m
+            direct = 2.0 * float(special.gammainc(half, half)
+                                 - special.gammainc(half + 1.0, half))
+            assert chaos2_abs_gamma_gap(m) == direct
+
+    def test_star_coupling_is_the_quantile_formula(self):
+        entries = np.random.default_rng(31).standard_normal((3, 15)) * 2.0
+        for m in (1, 4, 6):
+            x = np.clip(m + entries * math.sqrt(2.0 * m), 0.0, None)
+            u = special.gammainc(0.5 * m, 0.5 * x)
+            direct = special.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+            assert np.array_equal(chaos2_star_coupling(entries, m), direct)
+
     def test_chaos2_scaled_family_decreases_on_ladder(self):
         family = MediumFamily("clt-chaos2", m="N")
-        values = [condition_audit(family, n).diag_normalized for n in (8, 12, 16)]
+        values = [diag_normalized(condition_audit(family, n)) for n in (8, 12, 16)]
         assert values[0] > values[1] > values[2]
         # Theta(N^{-1/2}) scaling: ratio between rungs roughly sqrt(N ratio).
         assert values[0] / values[2] == pytest.approx(math.sqrt(16 / 8), rel=0.2)
@@ -266,8 +282,8 @@ class TestConditionAudit:
         full_vals = []
         for n in (8, 12, 16):
             audit = condition_audit(CORRELATED, n)
-            row_vals.append(audit.cross_row_normalized)
-            full_vals.append(audit.cross_normalized)
+            row_vals.append(cross_row_normalized(audit))
+            full_vals.append(cross_normalized(audit))
         assert row_vals[0] > row_vals[1] > row_vals[2]
         assert full_vals[2] < 1.0  # bounded by the lattice constant
 

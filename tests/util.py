@@ -8,7 +8,8 @@ expression printer for the parser round-trip, the Mehler shift of one
 quadrature node, the soft-max interpolation phi(t) whose derivative
 ``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms, the
 expression tree of a chaos form, the difference of two functionals with its
-Delta(s, t), and the SK Hamiltonian.
+Delta(s, t), the SK Hamiltonian and the N^2-normalized sums of an SK
+condition audit.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from wienergamma.core import (
     Sum,
     Tanh,
     WienerSpaceError,
+    hermite_pair,
     sample,
 )
 from wienergamma.engine import Estimate, MehlerConfig, gamma_pointwise, mean_estimate
 from wienergamma.parallel import run_chunked
+from wienergamma.sk import ConditionAudit
 
 
 def random_expression(rng: np.random.Generator, dim: int, depth: int = 3):
@@ -124,6 +127,11 @@ def dense_value_and_gradient(expr: Expression, x: np.ndarray):
         hq, hq_minus = reference_hermite_pair(expr.order, v)
         return hq, (expr.order * hq_minus)[..., None] * g
     raise TypeError(f"unknown node type {type(expr).__name__}")
+
+
+def hermite_value(q: int, x):
+    """H_q(x), from H_0 = 1 and H_1 = x by the package's Hermite recurrence."""
+    return hermite_pair(q, x)[0]
 
 
 def reference_hermite_pair(q: int, x):
@@ -335,3 +343,18 @@ def hamiltonian(sigma: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     n = coupling.shape[0]
     quad = np.einsum("...i,ij,...j->...", sigma, coupling, sigma)
     return quad / math.sqrt(2.0 * n)
+
+
+def cross_normalized(audit: ConditionAudit) -> float:
+    """Full pair sum over N^2: the generic-bound ingredient.  For a decay law
+    with summable tails this converges to a lattice constant rather than
+    vanishing; the per-entry row sum is the decaying diagnostic."""
+    return audit.sum_cross_abs / audit.n**2
+
+
+def cross_row_normalized(audit: ConditionAudit) -> float:
+    return audit.max_row_cross_abs / audit.n**2
+
+
+def diag_normalized(audit: ConditionAudit) -> float:
+    return audit.sum_diag_gap / audit.n**2
