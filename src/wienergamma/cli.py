@@ -151,13 +151,24 @@ def _param(spec) -> Param:
     return spec if isinstance(spec, Param) else Param(spec)
 
 
+def _floats(name: str, value) -> list[float]:
+    """A list of numbers as a list of floats."""
+    if isinstance(value, (list, tuple)):
+        try:
+            return [float(v) for v in value]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+
+
 def merge(where: str, given, declared: dict) -> dict:
     """``given`` checked against ``declared`` (key -> default or Param).
 
     An undeclared key is a ValueError naming it and the accepted keys; a
-    missing key takes its default, and a value whose default is a number is
-    converted to the default's type.  A default of None is computed by the
-    caller from other keys.
+    missing key takes its default, a value whose default is a number is
+    converted to the default's type, and a value whose default is a tuple of
+    floats must be a list and becomes a list of floats.  A default of None is
+    computed by the caller from other keys.
     """
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -184,8 +195,10 @@ def merge(where: str, given, declared: dict) -> dict:
         elif isinstance(default, (int, float)):
             try:
                 value = type(default)(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{name} must be a number, got {value!r}") from None
+        elif isinstance(default, tuple) and all(isinstance(v, float) for v in default):
+            value = _floats(name, value)
         if low is not None:
             if isinstance(default, tuple):
                 if not isinstance(value, (list, tuple)) or len(value) < low:
@@ -326,8 +339,8 @@ def run_poincare(params, seed, workers, cfg):
     for fn_index, (text, dim) in enumerate(suite):
         space = build_space(max(dim, 2))
         f = Functional(space, parse_expression(text, space.dim))
-        sides = poincare_check(f, [float(p) for p in params["p"]], params["n_outer"],
-                               cfg, seed=seed + 977 * fn_index)
+        sides = poincare_check(f, params["p"], params["n_outer"], cfg,
+                               seed=seed + 977 * fn_index)
         for p, (lhs, rhs) in zip(params["p"], sides):
             rows.append(upper(f"poincare/{text}/p={p:g}", lhs.value, rhs.value,
                               math.hypot(lhs.std_error, rhs.std_error)))
@@ -336,8 +349,9 @@ def run_poincare(params, seed, workers, cfg):
 
 @experiment("sudakov", "supremum comparison via soft-max interpolation",
             "Sudakov-Fernique comparison",
-            d=5, sigma_f=1.0, sigma_g=1.5, betas=(1.0, 2.0, 4.0, 8.0, 16.0),
-            n_outer=Param(4_000, low=2), n_sup=Param(100_000, low=2), t_points=21)
+            d=5, sigma_f=1.0, sigma_g=1.5, betas=Param((1.0, 2.0, 4.0, 8.0, 16.0), low=1),
+            n_outer=Param(4_000, low=2), n_sup=Param(100_000, low=2),
+            t_points=Param(21, low=1))
 def run_sudakov(params, seed, workers, cfg):
     """Supremum comparison for dominated Gaussian fields plus the
     independent-additive-noise baseline."""
@@ -347,7 +361,7 @@ def run_sudakov(params, seed, workers, cfg):
     rows = []
     for bi, beta in enumerate(betas):
         for ti, t in enumerate(t_grid):
-            est = sf_phi_prime(pair, float(t), float(beta), cfg, params["n_outer"],
+            est = sf_phi_prime(pair, float(t), beta, cfg, params["n_outer"],
                                seed=seed + 7919 * bi + 104729 * ti, workers=workers)
             rows.append(upper(f"sudakov/phi-prime/beta={beta:g}/t={t:.3f}", est.value,
                               0.0, est.std_error))
@@ -372,7 +386,7 @@ def run_sudakov(params, seed, workers, cfg):
 @experiment("slepian", "functional comparison under dominated Gamma matrices",
             "Slepian-type comparison",
             d=2, n_outer=Param(4_000, low=2), n_value=Param(100_000, low=2), cov_g=None,
-            bump=None, t_points=11)
+            bump=None, t_points=Param(11, low=1))
 def run_slepian(params, seed, workers, cfg):
     """Functional comparison with a quadratic payoff under entrywise
     dominated Gamma matrices (Gaussian case).  cov_g defaults to unit
@@ -494,6 +508,8 @@ def run_fbm_sde(params, seed, workers, cfg):
     """Supremum and squared-metric checks for the fBm-driven SDE."""
     m, n_paths, n_dump = params["m"], params["n_paths"], params["dump_paths"]
     pairs = _delta_pairs(params["delta_pairs"])
+    if not pairs:
+        raise _no_checks("fbm-sde", params)
     grid = uniform_grid(params["hurst"], params["horizon"], m)
     rows = []
     tables = {}
@@ -605,7 +621,7 @@ def run_sk_generic_bound(params, seed, workers, cfg):
 
 @experiment("sk-gamma-bound", "Gamma bound for the centered free energy",
             "SK universality: concentration step",
-            n=Param(12, low=1), betas=(0.5, 1.0), n_media=Param(50, low=1),
+            n=Param(12, low=1), betas=Param((0.5, 1.0), low=1), n_media=Param(50, low=1),
             families=("iid-gaussian", {"kind": "clt-chaos2", "m": 1},
                       {"kind": "clt-chaos2", "m": 4},
                       {"kind": "correlated-gaussian", "r": 3.0}))

@@ -38,7 +38,7 @@ from .engine import (
     mean_estimate,
     minus_dl_gradient_estimates,
 )
-from .parallel import run_chunked
+from .parallel import block_bounds, run_chunked
 
 
 class BlockOverlapError(ValueError):
@@ -253,10 +253,17 @@ def slepian_phi_prime(pair: FieldPair, fn: HessianFunction, t: float,
 def _field_mean(fld: RandomField, fn, n_samples: int, seed: int, workers: int,
                 label: int) -> Estimate:
     """E[fn(field)] by plain Monte Carlo; ``fn`` maps field values (B, d) to
-    (B,), and ``label`` keys the streams of ``run_chunked``."""
+    (B,) row by row, and ``label`` keys the streams of ``run_chunked``.
+
+    Each chunk is drawn and evaluated in the blocks of
+    ``parallel.block_bounds``, into one array of the chunk's values, so the
+    numbers are those of drawing and evaluating the chunk at once."""
 
     def job(chunk, rng):
-        return fn(fld.eval_all(sample(fld.space, rng, chunk)))
+        values = np.empty(chunk)
+        for start, stop in block_bounds(chunk):
+            values[start:stop] = fn(fld.eval_all(sample(fld.space, rng, stop - start)))
+        return values
 
     return mean_estimate(run_chunked(n_samples, workers, seed, label, job))
 
@@ -328,7 +335,10 @@ def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
     the largest Gamma standard error there, for a 3-SE verdict.
     """
     c_matrix = np.asarray(c_matrix, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.shape != (fld.dim,):
+        raise ValueError(f"threshold vector x must have one entry per field "
+                         f"component ({fld.dim}), got shape {x.shape}")
     if np.any(x < 0):
         raise ValueError("threshold vector x must be nonnegative")
 

@@ -19,16 +19,12 @@ row dimension, so it can round differently from xi L^T in the last bit where
 the BLAS treats that edge differently (with OpenBLAS: some path counts of 129
 or more that are not multiples of 8).
 
-The supremum comparison walks each worker chunk in blocks of ``SUP_BLOCK``
-paths, so it never holds a chunk's draws, paths and solutions at once.  Draws
-split into consecutive blocks continue one stream, and the Euler step and the
-maxima work per path.  The synthesis product is the one step whose bits can
-depend on the block layout.  It gives the one-block product's bits when
-blocks start at multiples of ``SUP_BLOCK`` and a tail shorter than half a
-block joins the block before it: checked with OpenBLAS 0.3.31 for m = 16 and
-128 at 372 path counts from 100 to 12 289, 50 000 and 100 000.  Splitting a
-chunk into equal halves, or solving a short tail on its own (4096 + 3 paths
-as 4096 and 3), can round differently.
+The supremum comparison walks each worker chunk in the blocks of
+``parallel.block_bounds``, so it never holds a chunk's draws, paths and
+solutions at once, and every block of a chunk reuses the same arrays.  Under
+that layout the synthesis product, the one step whose bits can depend on the
+blocks, gives the one-block product's bits (see ``parallel``).  The pilot
+adds each block's sum over its paths into one total, in block order.
 
 The pathwise derivative is never projected onto whitened coordinates: the
 Delta integrand <(D_t - D_s)(y) L, (D_t - D_s)(x) L> is computed as
@@ -52,9 +48,7 @@ from .engine import (
     mean_estimate,
     mehler_integral,
 )
-from .parallel import run_chunked
-
-SUP_BLOCK = 4096  # paths per block of sup_comparison
+from .parallel import block_bounds, run_chunked, widest_block
 
 
 @dataclass(frozen=True)
@@ -158,9 +152,22 @@ class DriftSpec:
 
 # b returns a scalar so that an Euler step adds 0.0 without allocating zeros.
 ZERO_DRIFT = DriftSpec(b=lambda x: 0.0, b_prime=lambda x: np.zeros_like(x))
-TANH_DRIFT = DriftSpec(b=np.tanh, b_prime=lambda x: 1.0 / np.cosh(x) ** 2)
-NEG_TANH_DRIFT = DriftSpec(b=lambda x: -np.tanh(x),
-                           b_prime=lambda x: -1.0 / np.cosh(x) ** 2)
+
+
+def _sech_squared(sign: float):
+    """x -> sign / cosh(x)**2, the operations of that expression done in one
+    array."""
+
+    def b_prime(x):
+        out = np.cosh(x)
+        np.square(out, out=out)
+        return np.divide(sign, out, out=out)
+
+    return b_prime
+
+
+TANH_DRIFT = DriftSpec(b=np.tanh, b_prime=_sech_squared(1.0))
+NEG_TANH_DRIFT = DriftSpec(b=lambda x: -np.tanh(x), b_prime=_sech_squared(-1.0))
 
 
 def euler_solve(x0: float, drift: DriftSpec, fbm_paths: np.ndarray,
@@ -264,20 +271,6 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
             for batches in zip(*run_chunked(n_outer, workers, seed, 0xFB1, job))]
 
 
-def _path_blocks(total: int) -> list[tuple[int, int]]:
-    """(start, stop) of the blocks of a chunk of ``total`` paths: blocks start
-    at multiples of SUP_BLOCK, and a tail shorter than half a block joins the
-    block before it."""
-    starts = list(range(0, total, SUP_BLOCK))
-    if len(starts) > 1 and total - starts[-1] < SUP_BLOCK // 2:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [total]))
-
-
-def _widest(bounds: list[tuple[int, int]]) -> int:
-    return max((stop - start for start, stop in bounds), default=0)
-
-
 def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
                    n_paths: int = 100_000, seed: int = 0,
                    workers: int = 1) -> tuple[Estimate, Estimate]:
@@ -289,39 +282,38 @@ def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
     tightens the difference.
 
     Each chunk is drawn, solved and reduced in path blocks (see the module
-    docstring), and every block of a chunk reuses the same arrays.  The pilot
-    writes its solutions into one time-major buffer per chunk, so that its
-    sum over the paths is the sum over one block.
+    docstring).  The pilot's mean path is the sum of the per-block sums over
+    the paths, added in block order, over ``n_paths``.
     """
     space = fbm_space(grid)
     times = grid.times
     rows = grid.n_steps + 1
 
-    def blocks(bounds, rng):
-        """(start, stop, paths) per block; the draws and paths of every block
-        are written into one pair of buffers."""
-        width = _widest(bounds)
-        xi, paths = np.empty((width, space.dim)), np.empty((rows, width))
+    def solved_blocks(chunk, rng):
+        """(start, stop, paths, solution) per block of the chunk; every block
+        is written into the same three arrays."""
+        bounds = block_bounds(chunk)
+        width = widest_block(bounds)
+        xi = np.empty((width, space.dim))
+        paths, solution = np.empty((rows, width)), np.empty((rows, width))
         for start, stop in bounds:
             size = stop - start
             rng.standard_normal(out=xi[:size])
-            yield start, stop, paths_from_whitened(space, xi[:size], out=paths[:, :size])
+            block = paths_from_whitened(space, xi[:size], out=paths[:, :size])
+            yield start, stop, block, euler_solve(x0, drift, block, times,
+                                                  out=solution[:, :size].T)
 
     def pilot_job(chunk, rng):
-        values = np.empty((rows, chunk))
-        for start, stop, paths in blocks(_path_blocks(chunk), rng):
-            euler_solve(x0, drift, paths, times, out=values[:, start:stop].T)
-        return values.T.sum(axis=0)
+        total = np.zeros(rows)
+        for _, _, _, values in solved_blocks(chunk, rng):
+            total += values.sum(axis=0)
+        return total
 
     mean_path = sum(run_chunked(n_paths, workers, seed, 0xF1A, pilot_job)) / n_paths
 
     def main_job(chunk, rng):
-        bounds = _path_blocks(chunk)
-        solution = np.empty((rows, _widest(bounds)))
         sde_max, fbm_max = np.empty(chunk), np.empty(chunk)
-        for start, stop, paths in blocks(bounds, rng):
-            values = euler_solve(x0, drift, paths, times,
-                                 out=solution[:, :stop - start].T)
+        for start, stop, paths, values in solved_blocks(chunk, rng):
             values -= mean_path
             values.max(axis=-1, out=sde_max[start:stop])
             paths.max(axis=-1, out=fbm_max[start:stop])

@@ -288,6 +288,29 @@ BAD_INPUTS = {
                               "'delta_pairs'"),
     "fbm-pairs-not-a-list": (_config("fbm-sde", delta_pairs=5), "error: ",
                              "'delta_pairs'"),
+    "fbm-no-delta-pairs": (_config("fbm-sde", delta_pairs=[]), "error: ",
+                           "'delta_pairs': []"),
+    # A list of numbers must be a list, and each entry a number.
+    "sk-gamma-text-beta": (_config("sk-gamma-bound", betas=["x"], n=4, n_media=2),
+                           "error in config ", "'betas'"),
+    "sk-gamma-scalar-betas": (_config("sk-gamma-bound", betas=1.0, n=4, n_media=2),
+                              "error in config ", "'betas'"),
+    "sudakov-scalar-betas": (_config("sudakov", betas=2.0), "error in config ",
+                             "'betas'"),
+    "poincare-scalar-p": (_config("poincare", p=2.0), "error in config ", "'p'"),
+    "poincare-huge-p": ('{"command": "poincare", "params": {"p": [1%s]}}' % ("0" * 400),
+                        "error in config ", "'p'"),
+    "gamma-infinite-points": ('{"command": "gamma", "params": {"n_points": 1e400}}',
+                              "error in config ", "'n_points'"),
+    # Configs that would run no phi' row at all.
+    "sudakov-no-t-points": (_config("sudakov", t_points=0), "error in config ",
+                            "'t_points'"),
+    "slepian-no-t-points": (_config("slepian", t_points=0), "error in config ",
+                            "'t_points'"),
+    "sudakov-no-betas": (_config("sudakov", betas=[]), "error in config ", "'betas'"),
+    # One threshold would broadcast onto both chaos2 components.
+    "concentration-short-x2": (_config("concentration", case="chaos2", x2=[1.0]),
+                               "error: ", "one entry per field component"),
 }
 
 

@@ -28,12 +28,14 @@ from wienergamma.comparison import (
 from wienergamma.core import (
     Constant,
     Hermite,
+    Tanh,
     build_space,
     make_field,
     w,
 )
 from wienergamma.engine import MehlerConfig
-from util import sf_phi_value
+from wienergamma.parallel import BLOCK
+from util import one_shot_field_mean, sf_phi_value, traced_peak_mb
 
 
 def psd_passed(res) -> bool:
@@ -396,6 +398,77 @@ class TestConcentration:
         with pytest.raises(ValueError):
             concentration_check(fld, np.eye(1), np.array([-1.0]), n_outer=100,
                                 cfg=MehlerConfig(seed=20), n_psd=2)
+
+    @pytest.mark.parametrize("x", [np.array([1.0]), np.array([1.0, 1.0, 1.0]),
+                                   np.array(1.0), np.ones((1, 2))])
+    def test_threshold_of_wrong_shape_rejected(self, x):
+        # One threshold per component: [1.0] would broadcast onto both
+        # components while the bound used |x|^2 = 1.
+        space = build_space(4)
+        fld = make_field(space, [w(0) + 0.1 * Hermite(2, w(2)),
+                                 w(1) + 0.1 * Hermite(2, w(3))])
+        with pytest.raises(ValueError, match="one entry per field component"):
+            concentration_check(fld, 3.0 * np.eye(2), x, n_outer=100,
+                                cfg=MehlerConfig(seed=20), n_psd=2)
+
+
+# Path counts around the block layout: one block, a merged tail and a tail
+# of its own.
+FIELD_MEAN_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + BLOCK // 2 - 1,
+                    BLOCK + BLOCK // 2, 2 * BLOCK + 7, 100_000]
+
+
+def chaos_field():
+    space = build_space(5)
+    return make_field(space, [w(0) + 0.3 * Hermite(2, w(3)), w(1) * w(4),
+                              Tanh(w(0) + w(2))])
+
+
+class TestFieldMeanBlocks:
+    """The plain field means, drawn and evaluated block by block, give the
+    numbers of drawing and evaluating each worker chunk at once."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", FIELD_MEAN_SIZES)
+    def test_expected_max(self, n, workers):
+        fld = chaos_field()
+        assert (expected_max(fld, n, seed=41, workers=workers)
+                == one_shot_field_mean(fld, lambda v: np.max(v, axis=-1), n, 41,
+                                       workers, 0xE3A))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", FIELD_MEAN_SIZES)
+    @pytest.mark.parametrize("fn", [
+        quadratic_function(np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.5],
+                                     [0.0, -0.5, 1.0]])),
+        softmax_function(2.0),
+        exp_linear_function(np.array([0.4, 0.4, 0.2]))],
+        ids=["quadratic", "softmax", "exp-linear"])
+    def test_expected_value(self, fn, n, workers):
+        fld = chaos_field()
+        assert (expected_value(fld, fn, n, seed=42, workers=workers)
+                == one_shot_field_mean(fld, fn.fun, n, 42, workers, 0x5E2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", FIELD_MEAN_SIZES)
+    def test_concentration_tail(self, n, workers):
+        space = build_space(4)
+        fld = make_field(space, [w(0) + 0.1 * Hermite(2, w(2)),
+                                 w(1) + 0.1 * Hermite(2, w(3))])
+        x = np.array([0.5, 0.25])
+        res = concentration_check(fld, 3.0 * np.eye(2), x, n_outer=n,
+                                  cfg=MehlerConfig(seed=43, quad_nodes=2,
+                                                   mc_samples=8),
+                                  n_psd=1, seed=43, workers=workers)
+        tail = one_shot_field_mean(fld, lambda v: np.all(v >= x, axis=-1).astype(float),
+                                   n, 43, workers, 0xC02)
+        assert (res.tail, res.tail_std_error) == (tail.value, tail.std_error)
+
+    def test_expected_max_holds_one_block(self):
+        # The sudakov field pair, 10^6 samples: drawing them at once takes
+        # 80 MB for the points alone.
+        pair = build_gaussian_pair(np.eye(5), 2.25 * np.eye(5))
+        assert traced_peak_mb(expected_max, pair.f, 1_000_000, seed=44) < 25.0
 
 
 class TestPerturbation:

@@ -13,7 +13,6 @@ from wienergamma.engine import (
 )
 from wienergamma import fbm
 from wienergamma.fbm import (
-    SUP_BLOCK,
     _cumulative_bprime,
     DriftSpec,
     FbmGrid,
@@ -30,7 +29,8 @@ from wienergamma.fbm import (
     sup_comparison,
     uniform_grid,
 )
-from wienergamma.parallel import run_chunked
+from wienergamma.parallel import BLOCK, block_bounds, run_chunked
+from util import traced_peak_mb
 
 
 def path_major_paths(space, xi):
@@ -241,6 +241,23 @@ class TestTimeMajorKernels:
             assert np.moveaxis(arr, -1, 0).flags.c_contiguous
 
 
+class TestTanhDrift:
+    @pytest.mark.parametrize("drift, sign", [(TANH_DRIFT, 1.0), (NEG_TANH_DRIFT, -1.0)],
+                             ids=["tanh", "neg-tanh"])
+    def test_b_prime_is_the_sech_squared_expression(self, drift, sign):
+        # Bit for bit the expression sign / cosh(x)**2, also where cosh
+        # overflows to inf and the derivative reads 0.
+        x = np.random.default_rng(11).standard_normal((129, 1200)) * 3.0
+        x[0, :4] = [800.0, -800.0, 710.5, -0.0]
+        with np.errstate(over="ignore"):
+            expected = sign / np.cosh(x) ** 2
+            got = drift.b_prime(x)
+            strided = drift.b_prime(x[:, :5].T)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got[0, :2], [0.0, 0.0])
+        assert np.array_equal(strided, expected[:, :5].T)
+
+
 class TestEuler:
     def test_zero_drift_reproduces_path(self):
         grid = uniform_grid(0.7, 1.0, 32)
@@ -438,8 +455,8 @@ class TestSupComparison:
                      math.hypot(sde.std_error, driving.std_error)).verdict
 
     @pytest.mark.parametrize("n_paths", [
-        1, SUP_BLOCK - 1, SUP_BLOCK, SUP_BLOCK + 1, SUP_BLOCK + SUP_BLOCK // 2 - 1,
-        SUP_BLOCK + SUP_BLOCK // 2, 2 * SUP_BLOCK + 7, 50_000, 100_000])
+        1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + BLOCK // 2 - 1,
+        BLOCK + BLOCK // 2, 2 * BLOCK + 7, 50_000, 100_000])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("drift", [ZERO_DRIFT, TANH_DRIFT, NEG_TANH_DRIFT],
                              ids=["zero", "tanh", "neg-tanh"])
@@ -450,14 +467,14 @@ class TestSupComparison:
 
     # m = 128 as in the fbm-sde acceptance config; 4096 + 3 ends in a merged tail
     @pytest.mark.parametrize("n_paths, workers",
-                             [(SUP_BLOCK + 3, 1), (50_000, 1), (100_000, 2)])
+                             [(BLOCK + 3, 1), (50_000, 1), (100_000, 2)])
     def test_blocks_match_one_block_on_the_benchmark_grid(self, n_paths, workers):
         grid = uniform_grid(0.7, 1.0, 128)
         assert (sup_comparison(grid, TANH_DRIFT, n_paths=n_paths, seed=116,
                                workers=workers)
                 == one_block_sup_comparison(grid, TANH_DRIFT, n_paths, 116, workers))
 
-    @pytest.mark.parametrize("n_paths", [SUP_BLOCK + 3, SUP_BLOCK + 5, 50_000])
+    @pytest.mark.parametrize("n_paths", [BLOCK + 3, BLOCK + 5, 50_000])
     def test_block_paths_are_the_one_block_paths(self, monkeypatch, n_paths):
         # The maxima can hide a last-bit difference in a few paths, so the
         # paths are compared themselves: with m = 128 a tail of 3 or 5 paths
@@ -483,10 +500,11 @@ class TestSupComparison:
             assert np.array_equal(np.concatenate(got), expected)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pilot_sums_match_one_block(self, monkeypatch, workers):
-        # The pilot's sum over a chunk's paths is numpy's sum over one block,
-        # bit for bit; rounding there is mostly lost in the division by n_paths,
-        # so the estimates alone would not show it.
+    def test_pilot_sums_block_by_block(self, monkeypatch, workers):
+        # The pilot's sum over a chunk's paths adds the per-block sums of the
+        # one-block solution in block order, bit for bit; rounding there is
+        # mostly lost in the division by n_paths, so the estimates alone would
+        # not show it.  It stays within 1e-12 of numpy's one-block sum.
         results = {}
 
         def recording(*args):
@@ -501,22 +519,35 @@ class TestSupComparison:
 
         def one_block(chunk, rng):
             paths = fbm_sample(grid, rng, size=chunk, space=space)[0]
-            return euler_solve(0.0, TANH_DRIFT, paths, grid.times).sum(axis=0)
+            values = euler_solve(0.0, TANH_DRIFT, paths, grid.times)
+            total = np.zeros(grid.n_steps + 1)
+            for start, stop in block_bounds(chunk):
+                total += values[start:stop].sum(axis=0)
+            return total, values.sum(axis=0)
 
         expected = run_chunked(50_000, workers, 27, 0xF1A, one_block)
-        assert all(np.array_equal(got, want)
-                   for got, want in zip(results[0xF1A], expected, strict=True))
+        for got, (block_order, one_sum) in zip(results[0xF1A], expected, strict=True):
+            assert np.array_equal(got, block_order)
+            assert np.all(np.abs(got - one_sum) <= 1e-12 * np.abs(one_sum))
+
+    def test_pilot_holds_one_block(self):
+        # m = 128 and 50 000 paths as in the fbm-sde acceptance config: a
+        # chunk-sized buffer of solutions alone would take 51.6 MB.
+        grid = uniform_grid(0.7, 1.0, 128)
+        peak = traced_peak_mb(sup_comparison, grid, TANH_DRIFT, n_paths=50_000,
+                              seed=29)
+        assert peak < 25.0
 
     @pytest.mark.parametrize("n_paths, bounds", [
         (1, [(0, 1)]),
-        (SUP_BLOCK + SUP_BLOCK // 2 - 1, [(0, SUP_BLOCK + SUP_BLOCK // 2 - 1)]),
-        (SUP_BLOCK + SUP_BLOCK // 2,
-         [(0, SUP_BLOCK), (SUP_BLOCK, SUP_BLOCK + SUP_BLOCK // 2)]),
-        (2 * SUP_BLOCK + 7, [(0, SUP_BLOCK), (SUP_BLOCK, 2 * SUP_BLOCK + 7)])])
+        (BLOCK + BLOCK // 2 - 1, [(0, BLOCK + BLOCK // 2 - 1)]),
+        (BLOCK + BLOCK // 2,
+         [(0, BLOCK), (BLOCK, BLOCK + BLOCK // 2)]),
+        (2 * BLOCK + 7, [(0, BLOCK), (BLOCK, 2 * BLOCK + 7)])])
     def test_block_layout(self, n_paths, bounds):
-        # blocks start at multiples of SUP_BLOCK; a tail shorter than half a
+        # blocks start at multiples of BLOCK; a tail shorter than half a
         # block joins the block before it
-        assert fbm._path_blocks(n_paths) == bounds
+        assert block_bounds(n_paths) == bounds
 
     def test_chunk_is_solved_block_by_block(self, monkeypatch):
         sizes = []
@@ -526,10 +557,10 @@ class TestSupComparison:
             return euler_solve(x0, drift, fbm_paths, times, out)
 
         monkeypatch.setattr(fbm, "euler_solve", counting)
-        sup_comparison(uniform_grid(0.7, 1.0, 16), TANH_DRIFT, n_paths=3 * SUP_BLOCK,
+        sup_comparison(uniform_grid(0.7, 1.0, 16), TANH_DRIFT, n_paths=3 * BLOCK,
                        seed=26)
         # three blocks for the pilot, then three for the main run
-        assert sizes == [SUP_BLOCK] * 6
+        assert sizes == [BLOCK] * 6
 
     def test_grid_refinement_within_band(self):
         # Doubling the grid changes E[max B^H] by less than the 3-SE band.

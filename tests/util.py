@@ -8,13 +8,16 @@ expression printer for the parser round-trip, the Mehler shift of one
 quadrature node, the soft-max interpolation phi(t) whose derivative
 ``sf_phi_prime`` estimates, the exact E[FG] of two chaos forms, the
 expression tree of a chaos form, the difference of two functionals with its
-Delta(s, t), the SK Hamiltonian and the N^2-normalized sums of an SK
-condition audit.
+Delta(s, t), the SK Hamiltonian, the N^2-normalized sums of an SK
+condition audit, the one-shot plain field mean that the block-by-block
+field means must match, and the peak memory ``tracemalloc`` sees during a
+call.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -358,3 +361,28 @@ def cross_row_normalized(audit: ConditionAudit) -> float:
 
 def diag_normalized(audit: ConditionAudit) -> float:
     return audit.sum_diag_gap / audit.n**2
+
+
+# ---------------------------------------------------------------------------
+# Streaming oracles: one-shot field means and traced memory peaks
+# ---------------------------------------------------------------------------
+
+def one_shot_field_mean(fld, fn, n_samples: int, seed: int, workers: int,
+                        label: int) -> Estimate:
+    """E[fn(field)] with each worker chunk drawn and evaluated at once."""
+
+    def job(chunk, rng):
+        return fn(fld.eval_all(sample(fld.space, rng, chunk)))
+
+    return mean_estimate(run_chunked(n_samples, workers, seed, label, job))
+
+
+def traced_peak_mb(fn, *args, **kwargs) -> float:
+    """Peak memory traced by ``tracemalloc`` during ``fn(*args, **kwargs)``, in
+    MB; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
