@@ -51,6 +51,10 @@ class ChaosForm:
             terms.append((coeff, factors))
         object.__setattr__(self, "terms", tuple(terms))
 
+    def coordinates(self) -> frozenset[int]:
+        """The coordinates that any term reads; no other column of x is read."""
+        return frozenset(i for _, factors in self.terms for i, _ in factors)
+
     def mean(self) -> float:
         """E[form]: only constant terms contribute."""
         return float(sum(c for c, fs in self.terms if not fs))

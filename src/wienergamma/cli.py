@@ -62,6 +62,7 @@ from .fbm import (
     uniform_grid,
 )
 from .grammar import parse_expression
+from .parallel import block_bounds
 from .sk import (
     Medium,
     MediumFamily,
@@ -152,23 +153,27 @@ def _param(spec) -> Param:
 
 
 def _floats(name: str, value) -> list[float]:
-    """A list of numbers as a list of floats."""
+    """A list of finite numbers as a list of floats."""
     if isinstance(value, (list, tuple)):
         try:
-            return [float(v) for v in value]
+            floats = [float(v) for v in value]
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+        else:
+            if all(math.isfinite(v) for v in floats):
+                return floats
+    raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
 
 
 def merge(where: str, given, declared: dict) -> dict:
     """``given`` checked against ``declared`` (key -> default or Param).
 
     An undeclared key is a ValueError naming it and the accepted keys; a
-    missing key takes its default, a value whose default is a number is
-    converted to the default's type, and a value whose default is a tuple of
-    floats must be a list and becomes a list of floats.  A default of None is
-    computed by the caller from other keys.
+    missing key takes its default, a value whose default is a bool must be a
+    JSON boolean, a value whose default is a number is converted to the
+    default's type and must be finite, and a value whose default is a tuple
+    of floats must be a list of finite numbers and becomes a list of floats.
+    A default of None is computed by the caller from other keys.
     """
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object")
@@ -191,12 +196,15 @@ def merge(where: str, given, declared: dict) -> dict:
         if choices and isinstance(default, str):
             raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
         if isinstance(default, bool):
-            value = bool(value)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         elif isinstance(default, (int, float)):
             try:
                 value = type(default)(value)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{name} must be a number, got {value!r}") from None
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         elif isinstance(default, tuple) and all(isinstance(v, float) for v in default):
             value = _floats(name, value)
         if low is not None:
@@ -457,6 +465,10 @@ def run_perturbation(params, seed, workers, cfg):
     n_points, n_value = params["n_points"], params["n_value"]
     chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
     g_rows = np.hstack([chol, np.zeros((2, 2))])
+    theta = params["theta"]
+    if len(theta) != len(g_rows):
+        raise ValueError(f"params key 'theta' must have one entry per field component "
+                         f"({len(g_rows)}), got {theta!r}")
     spec = PerturbationSpec(
         g_rows=g_rows,
         f_rows=((np.array([0.0, 0.0, 1.0, 0.0]),),
@@ -475,11 +487,16 @@ def run_perturbation(params, seed, workers, cfg):
     rows = [lower("perturbation/gamma-dominates-covariance", np.stack(values), base,
                   np.stack(errors), atol=1e-9)]
 
-    psi = exp_linear_function(np.asarray(params["theta"], dtype=float))
-    eval_pts = sample(space, np.random.default_rng(np.random.SeedSequence([seed, 0xA0])),
-                      n_value)
-    e_f = mean_estimate([psi.fun(f_field.eval_all(eval_pts))])
-    e_g = mean_estimate([psi.fun(g_field.eval_all(eval_pts))])
+    psi = exp_linear_function(np.asarray(theta, dtype=float))
+    # Drawn and evaluated in blocks of one stream, so the values are those of
+    # one draw of n_value points.
+    value_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0]))
+    f_values, g_values = np.empty(n_value), np.empty(n_value)
+    for start, stop in block_bounds(n_value):
+        eval_pts = sample(space, value_rng, stop - start)
+        f_values[start:stop] = psi.fun(f_field.eval_all(eval_pts))
+        g_values[start:stop] = psi.fun(g_field.eval_all(eval_pts))
+    e_f, e_g = mean_estimate([f_values]), mean_estimate([g_values])
     rows.append(lower("perturbation/payoff-comparison", e_f.value, e_g.value,
                       math.hypot(e_f.std_error, e_g.std_error)))
     return rows

@@ -449,12 +449,16 @@ class Functional:
     mean_shift: float = 0.0
 
     def __post_init__(self):
-        top = max(self.expr.coordinates(), default=-1)
+        top = max(self.coordinates(), default=-1)
         if top >= self.space.dim:
             raise ExpressionError(
                 f"expression uses coordinate w{top} but the space has "
                 f"dimension {self.space.dim}"
             )
+
+    def coordinates(self) -> frozenset[int]:
+        """The coordinates the expression reads; no other column of x is read."""
+        return self.expr.coordinates()
 
     def eval(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -514,7 +518,7 @@ class RandomField:
         return np.stack([f.eval(x) for f in self.components], axis=-1)
 
     def coordinates(self) -> frozenset[int]:
-        return frozenset().union(*(f.expr.coordinates() for f in self.components))
+        return frozenset().union(*(f.coordinates() for f in self.components))
 
     def constant_gradients(self) -> np.ndarray | None:
         """(d, n) gradient matrix when every component is affine, else None."""

@@ -13,16 +13,20 @@ Gauss-Legendre; the inner expectation is Monte Carlo (optionally antithetic).
 Mehler-shifted inner copies, and ``inner_normals`` draws those copies.  At
 each node it writes the shifted copies into one buffer that it allocates once
 per call in the memory layout of the copies, and every shift has the bits of
-u*x + sqrt(1-u^2)*x_hat computed afresh.  Its four callers differ in the
-points they shift, in how many copies they draw and lay out, and in what
-``term`` returns:
+u*x + sqrt(1-u^2)*x_hat computed afresh.  Given the columns ``term`` reads,
+it shifts only those and leaves the others at 0.0.  Its four callers differ
+in the points they shift, in how many copies they draw and lay out, and in
+what ``term`` returns:
 
 * ``gamma_pointwise``: one point, ``mc_samples`` copies stored
   coordinate-major, one value <DG(y), DF(omega)> per copy, folded over
-  antithetic pairs afterwards;
+  antithetic pairs afterwards.  All copies are drawn, but only the columns
+  of G's ``coordinates()`` are shifted: each is a contiguous column there,
+  and a G of the oracle suite reads 1 or 2 of its 4;
 * ``coupled_gamma_values``: many outer points, each repeated once per copy
   (a few copies each), the mean of <DG(y), DF(point)> over a point's copies,
-  which ``copy_mean`` takes with numpy's bits by adding copy columns;
+  which ``copy_mean`` takes with numpy's bits by adding copy columns.  Its
+  copies are C-ordered, so a column is strided and every column is shifted;
 * ``minus_dl_gradient_estimates``: the same points and copies, one gradient
   per functional and point;
 * ``fbm.delta_fbm``: outer fBm coordinates, whose ``term`` re-solves the SDE
@@ -149,28 +153,49 @@ def inner_normals(rng: np.random.Generator, lead: tuple, per: int, dim: int,
     return out
 
 
-def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, term):
+def mehler_integral(points: np.ndarray, inner: np.ndarray, cfg: MehlerConfig, term,
+                    columns=None):
     """Gauss-Legendre sum over u of wt * term(y_u), where y_u is the
     Ornstein-Uhlenbeck coupling u * points + sqrt(1 - u^2) * inner.
 
     ``points`` broadcasts against ``inner``.  Every y_u is written into one
     buffer with the shape and memory layout of ``inner``, allocated once per
-    call, so ``term`` must not keep a reference to its argument.  Adding
-    ``points`` is one long loop when they are broadcast along the contiguous
-    axis of ``inner`` or not at all; broadcast along another axis, numpy loops
-    over rows of the contiguous axis, which is slow when those rows are short.
+    call, so ``term`` must not keep a reference to its argument.  With
+    ``columns``, the indices of the last axis that ``term`` reads, only those
+    columns are shifted at each node, in runs of consecutive indices, and the
+    others hold 0.0 for the whole call.  Adding ``points`` is one long loop
+    when they are broadcast along the contiguous axis of ``inner`` or not at
+    all; broadcast along another axis, numpy loops over rows of the
+    contiguous axis, which is slow when those rows are short.
     """
     nodes, weights = gauss_legendre_unit(cfg.quad_nodes)
-    shifted, moved = np.empty_like(inner), np.empty(np.shape(points))
+    points, shifted = np.asarray(points), np.zeros_like(inner)
+    runs = _column_runs(range(inner.shape[-1]) if columns is None else columns)
+    views = [(shifted[..., a:b], inner[..., a:b], points[..., a:b],
+              np.empty(points[..., a:b].shape)) for a, b in runs]
     total = 0.0
     for u, wt in zip(nodes, weights):
-        # fl(c*z) + fl(u*p) = fl(u*p) + fl(c*z), and fl(u*p) is the same
-        # wherever p is broadcast, so y_u has the bits of the textbook form.
-        np.multiply(points, u, out=moved)
-        np.multiply(inner, math.sqrt(1.0 - u * u), out=shifted)
-        shifted += moved
+        scale = math.sqrt(1.0 - u * u)
+        for out, z, p, moved in views:
+            # fl(c*z) + fl(u*p) = fl(u*p) + fl(c*z), and fl(u*p) is the same
+            # wherever p is broadcast, so y_u has the bits of the textbook form.
+            np.multiply(p, u, out=moved)
+            np.multiply(z, scale, out=out)
+            out += moved
         total += wt * term(shifted)
     return total
+
+
+def _column_runs(columns) -> list[tuple[int, int]]:
+    """The distinct ``columns`` as sorted (start, stop) runs of consecutive
+    indices."""
+    runs = []
+    for i in sorted(set(columns)):
+        if runs and runs[-1][1] == i:
+            runs[-1] = (runs[-1][0], i + 1)
+        else:
+            runs.append((i, i + 1))
+    return runs
 
 
 def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
@@ -178,7 +203,8 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
     """Estimate Gamma_{F,G} at one sample point.
 
     ``f`` and ``g`` can be Functionals or chaos forms -- anything with a
-    ``space`` and a ``gradient(x, along=None)`` method.  Inner copies are
+    ``space``, a ``gradient(x, along=None)`` method and, for ``g``, the
+    ``coordinates()`` its gradient reads.  Inner copies are
     shared across quadrature nodes (common random numbers); with antithetic
     sampling the +/- pair average is the independent unit for the standard
     error, which reflects Monte Carlo variation only.
@@ -194,7 +220,9 @@ def gamma_pointwise(f, g, omega: np.ndarray, cfg: MehlerConfig,
     # contiguous axis.
     inner = inner_normals(rng, (), cfg.mc_samples, space.dim, cfg.antithetic, order="F")
     df = f.gradient(omega)
-    per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y, df))
+    # <DG(y), DF> reads only G's coordinates, so only those are shifted.
+    per_sample = mehler_integral(omega, inner, cfg, lambda y: g.gradient(y, df),
+                                 columns=g.coordinates())
     if cfg.antithetic:
         half = inner.shape[0] // 2
         per_sample = 0.5 * (per_sample[:half] + per_sample[half:])

@@ -207,18 +207,30 @@ def _cumulative_bprime(values: np.ndarray, drift: DriftSpec,
     return np.moveaxis(out, 0, -1)
 
 
-def _derivative_difference(cumulative: np.ndarray, s_idx: int,
-                           t_idx: int) -> np.ndarray:
+def _derivative_difference(cumulative: np.ndarray, s_idx: int, t_idx: int,
+                           zero: bool) -> np.ndarray:
     """d (F_t - F_s) / d (increment j) for j < t_idx, time-major (t_idx, ...).
 
     Increment j covers (t_j, t_{j+1}]; d F_t / d (increment j) is
     exp(c_t - c_{j+1}) for j < t and zero after, which is the right-endpoint
     reading of the continuous kernel and matches the Euler chain rule to first
-    order.  ``cumulative`` is time-major (m + 1, ...).
+    order.  ``cumulative`` is time-major (m + 1, ...).  ``zero`` says that
+    every entry of ``cumulative`` is +-0.0 (``_zero_exponent``); then each
+    exp is exp(+-0.0) = 1.0 exactly and 1.0 - 1.0 = +0.0, so the 0/1
+    indicator of s_idx <= j < t_idx is built directly, with the same bits.
     """
+    if zero:
+        out = np.ones((t_idx,) + cumulative.shape[1:])
+        out[:s_idx] = 0.0
+        return out
     out = np.exp(cumulative[t_idx] - cumulative[1 : t_idx + 1])
     out[:s_idx] -= np.exp(cumulative[s_idx] - cumulative[1 : s_idx + 1])
     return out
+
+
+def _zero_exponent(cumulative: np.ndarray) -> bool:
+    """True when every entry is +0.0 or -0.0, as for a driftless solution."""
+    return not cumulative.any()
 
 
 def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
@@ -243,25 +255,28 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
     per = inner_copies_per_point(cfg, n_outer)
 
     def cumulative(xi):
-        """Time-major exponent c, (m + 1,) + xi.shape[:-1], of the paths of xi."""
+        """Time-major exponent c, (m + 1,) + xi.shape[:-1], of the paths of
+        xi, and whether it is all zeros."""
         values = euler_solve(x0, drift, paths_from_whitened(space, xi), times)
-        return np.moveaxis(_cumulative_bprime(values, drift, times), -1, 0)
+        c = np.moveaxis(_cumulative_bprime(values, drift, times), -1, 0)
+        return c, _zero_exponent(c)
 
     def job(chunk, rng):
         xi = rng.standard_normal((chunk, space.dim))
-        c = cumulative(xi)
+        c, zero = cumulative(xi)
         # <(D_t - D_s)(y) L, (D_t - D_s)(x) L> = (D_t - D_s)(y) . v with
         # v = (D_t - D_s)(x) G: one Gram product per outer point and pair,
         # none per shifted path.
-        projected = [_derivative_difference(c, s_idx, t_idx).T
+        projected = [_derivative_difference(c, s_idx, t_idx, zero).T
                      @ space.gram[:t_idx, :t_idx] for s_idx, t_idx in pairs]
         inner = inner_normals(rng, (chunk,), per, space.dim, cfg.antithetic)
 
         def term(shifted):
-            c_y = cumulative(shifted.reshape(-1, space.dim)).reshape(-1, chunk, per)
+            c_y, zero_y = cumulative(shifted.reshape(-1, space.dim))
+            c_y = c_y.reshape(-1, chunk, per)
             means = []
             for (s_idx, t_idx), v in zip(pairs, projected):
-                d = _derivative_difference(c_y, s_idx, t_idx).transpose(1, 0, 2)
+                d = _derivative_difference(c_y, s_idx, t_idx, zero_y).transpose(1, 0, 2)
                 means.append(copy_mean((v[:, None, :] @ d)[:, 0]))
             return np.stack(means)
 

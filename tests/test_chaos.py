@@ -167,6 +167,15 @@ def test_kernels_match_the_reference_bit_for_bit(case):
     assert np.shape(value) == want.shape and value.tobytes() == want.tobytes()
 
 
+def test_coordinates_are_the_indices_of_the_terms(space4):
+    f = form(space4, (1.0, ((0, 2), (3, 1))), (0.5, ((3, 2),)), (2.0, ()))
+    assert f.coordinates() == frozenset({0, 3})
+    assert form(space4, (1.5, ())).coordinates() == frozenset()
+    # The suite's G forms read 1.33 of the 4 coordinates on average.
+    reads = [len(g.coordinates()) for _, _, g in oracle_suite(space4)]
+    assert reads == [1, 1, 1, 1, 1, 1, 2, 1, 2, 1, 2, 2]
+
+
 def test_oracle_suite_shape(space4):
     suite = oracle_suite(space4)
     assert len(suite) == 12

@@ -14,6 +14,7 @@ import wienergamma
 from wienergamma import cli, comparison, engine
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
 from wienergamma.engine import MehlerConfig
+from wienergamma.parallel import BLOCK, block_bounds
 from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
 from test_acceptance import SMOKE_CONFIGS
 
@@ -311,6 +312,24 @@ BAD_INPUTS = {
     # One threshold would broadcast onto both chaos2 components.
     "concentration-short-x2": (_config("concentration", case="chaos2", x2=[1.0]),
                                "error: ", "one entry per field component"),
+    # One payoff weight for a field of two components.
+    "perturbation-short-theta": (_config("perturbation", theta=[0.4]), "error: ",
+                                 "'theta'"),
+    # Non-finite numbers, as text or as JSON NaN and Infinity, would run with
+    # NaN rows or an infinite parameter.
+    "sudakov-text-nan-beta": (_config("sudakov", betas=["nan"], t_points=1, n_outer=50,
+                                      n_sup=100), "error in config ", "'betas'"),
+    "sudakov-infinite-beta": ('{"command": "sudakov", "params": {"betas": [Infinity]}}',
+                              "error in config ", "'betas'"),
+    "sk-free-energy-nan-beta": ('{"command": "sk-free-energy", "params": '
+                                '{"n": 4, "beta": NaN}}', "error in config ", "'beta'"),
+    "fbm-text-inf-horizon": (_config("fbm-sde", horizon="-inf"), "error in config ",
+                             "'horizon'"),
+    # bool("false") is True, so only a JSON boolean is a bool.
+    "sk-free-energy-text-bool": (_config("sk-free-energy", n=4, check_reference="false"),
+                                 "error in config ", "'check_reference'"),
+    "mehler-number-antithetic": ('{"command": "gamma", "mehler": {"antithetic": 0}}',
+                                 "error in config ", "'antithetic'"),
 }
 
 
@@ -402,6 +421,17 @@ def test_ibp_check_accepts_exactly_centered_chaos_forms():
     report = run({"command": "ibp-check", "seed": 9, "workers": 1,
                   "mehler": SMALL_MEHLER, "params": {"n_outer": 500}})
     assert len(report["rows"]) == 36
+
+
+def test_perturbation_payoff_blocks_match_one_draw(monkeypatch):
+    # Two full blocks and a tail drawn in turn from one stream, against one
+    # block of all the points.
+    params = {"n_points": 1, "n_value": 2 * BLOCK + 3000}
+    assert len(block_bounds(params["n_value"])) == 3
+    cfg = MehlerConfig(**SMALL_MEHLER)
+    blocked = cli.run_perturbation(params, 5, 1, cfg)
+    monkeypatch.setattr(cli, "block_bounds", lambda total: [(0, total)])
+    assert cli.run_perturbation(params, 5, 1, cfg) == blocked
 
 
 def test_scalar_concentration_honours_n_psd(monkeypatch):

@@ -14,6 +14,7 @@ from wienergamma.core import (
     Hermite,
     Power,
     RandomField,
+    Tanh,
     WienerSpaceError,
     build_space,
     hermite_pair,
@@ -306,6 +307,15 @@ class TestFunctionalHelpers:
         s2 = build_space(2)
         with pytest.raises(WienerSpaceError):
             RandomField(s1, (Functional(s1, w(0)), Functional(s2, w(1))))
+
+    def test_functional_coordinates_are_the_expression_coordinates(self):
+        space = build_space(8)
+        f = Functional(space, Tanh(0.6 * w(2)) * w(5) + 3.0, mean_shift=0.5)
+        assert f.coordinates() == frozenset({2, 5}) == f.expr.coordinates()
+        assert Functional(space, w(0) * 0.0 + 1.0).coordinates() == frozenset({0})
+        assert Functional(space, Constant(2.0)).coordinates() == frozenset()
+        field = make_field(space, [w(7), Hermite(2, w(1)) * w(7)])
+        assert field.coordinates() == frozenset({1, 7})
 
     def test_constant_gradients_affine(self):
         space = build_space(3)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from wienergamma.chaos import form, gamma_oracle, oracle_suite
 from wienergamma.cli import close, upper
-from wienergamma.core import Functional, Hermite, Tanh, build_space, sample, w
+from wienergamma.comparison import PerturbationSpec, build_perturbed_pair
+from wienergamma.core import Functional, Hermite, Tanh, build_space, make_field, sample, w
 from wienergamma.engine import (
     CenteringError,
     Estimate,
@@ -184,6 +185,62 @@ class TestMehlerIntegral:
             expected = pointwise_reference(f, g, omega, cfg,
                                            lambda g, y, df: g.gradient(y, df))
             assert gamma_pointwise(f, g, omega, cfg) == expected
+
+    def test_columns_are_the_only_shifted_ones(self):
+        # Columns 0, 1 and 3, shifted as the runs [0, 2) and [3, 4): each keeps
+        # the bits of the full shift, and column 2 holds +0.0 at every node.
+        rng = np.random.default_rng(6)
+        point = rng.standard_normal(4)
+        inner = np.asfortranarray(rng.standard_normal((10, 4)))
+        cfg = MehlerConfig(quad_nodes=5)
+        seen = []
+        mehler_integral(point, inner, cfg, lambda y: seen.append(y.copy()) or 0.0,
+                        columns=[3, 0, 1, 0])
+        nodes, _ = gauss_legendre_unit(cfg.quad_nodes)
+        assert len(seen) == nodes.size
+        for y, u in zip(seen, nodes):
+            full = mehler_shift(point, inner, u)
+            assert np.array_equal(y[:, [0, 1, 3]], full[:, [0, 1, 3]])
+            assert np.array_equal(y[:, 2], np.zeros(10))
+            assert not np.signbit(y[:, 2]).any()
+
+    @staticmethod
+    def subset_cases():
+        # Fields whose components read a strict subset of the coordinates:
+        # the concentration chaos2 field, the perturbation field, and a
+        # functional on 8 coordinates that reads 2 (against one that reads
+        # all 8, so DF is dense).
+        space4 = build_space(4)
+        chaos2 = make_field(space4, [w(0) + 0.1 * Hermite(2, w(2)),
+                                     w(1) + 0.1 * Hermite(2, w(3))])
+        chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        spec = PerturbationSpec(
+            g_rows=np.hstack([chol, np.zeros((2, 2))]),
+            f_rows=((np.array([0.0, 0.0, 1.0, 0.0]),), (np.array([0.0, 0.0, 0.3, 0.9]),)),
+            phi_builders=(lambda args: Tanh(args[0]), lambda args: Tanh(args[0])),
+        )
+        perturbed, _, _ = build_perturbed_pair(spec, np.random.default_rng(7), n_center=1000)
+        space8 = build_space(8)
+        narrow = Functional(space8, Tanh(0.6 * w(2)) * w(5))
+        dense = Functional(space8, Tanh(sum(0.1 * (k + 1) * w(k) for k in range(8))))
+        pairs = [(f, g) for fld in (chaos2, perturbed)
+                 for f in fld.components for g in fld.components]
+        pairs += [(narrow, narrow), (dense, narrow)]
+        cfg = MehlerConfig(quad_nodes=8, mc_samples=2048, seed=11)
+        rng = np.random.default_rng(12)
+        for f, g in pairs:
+            yield f, g, rng.standard_normal(f.space.dim), cfg
+
+    def test_pointwise_on_a_subset_matches_the_full_shift(self):
+        # Only G's coordinates are shifted; the estimate keeps the bits of
+        # shifting every coordinate.
+        strict = 0
+        for f, g, omega, cfg in self.subset_cases():
+            strict += g.coordinates() < frozenset(range(g.space.dim))
+            expected = pointwise_reference(f, g, omega, cfg,
+                                           lambda g, y, df: g.gradient(y, df))
+            assert gamma_pointwise(f, g, omega, cfg) == expected
+        assert strict >= 5
 
     def test_pointwise_agrees_with_dense_contraction(self):
         # The tangent along DF sums <DG, DF> in another order than a matrix

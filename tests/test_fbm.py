@@ -396,6 +396,48 @@ class TestDeltaFbm:
             delta_fbm(grid, TANH_DRIFT, [(0, 8), (5, 4)], n_outer=2)
 
 
+class TestDerivativeDifference:
+    PAIRS = ((0, 8), (3, 7), (4, 4), (0, 0), (8, 8))
+
+    def test_zero_exponent_gives_the_exp_bits(self):
+        c = np.zeros((9, 3, 2))
+        c[2, 1, 0] = c[5, 0, 1] = c[8, 2, 1] = c[1, 0, 0] = -0.0
+        assert np.signbit(c).sum() == 4 and fbm._zero_exponent(c)
+        for s_idx, t_idx in self.PAIRS:
+            direct = fbm._derivative_difference(c, s_idx, t_idx, zero=True)
+            via_exp = fbm._derivative_difference(c, s_idx, t_idx, zero=False)
+            assert direct.shape == via_exp.shape == (t_idx, 3, 2)
+            assert direct.tobytes() == via_exp.tobytes()
+
+    @pytest.mark.parametrize("entry", [1e-300, -2.5, np.nan])
+    def test_nonzero_exponent_takes_exp(self, entry):
+        c = np.zeros((9, 4))
+        c[6, 1] = entry
+        assert not fbm._zero_exponent(c)
+        for s_idx, t_idx in self.PAIRS:
+            want = np.exp(c[t_idx] - c[1 : t_idx + 1])
+            want[:s_idx] -= np.exp(c[s_idx] - c[1 : s_idx + 1])
+            got = fbm._derivative_difference(c, s_idx, t_idx, zero=False)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("drift, zero", [(ZERO_DRIFT, True), (TANH_DRIFT, False)],
+                             ids=["zero", "tanh"])
+    def test_delta_tests_each_exponent_once(self, monkeypatch, drift, zero):
+        # One test per cumulative() result (the outer paths, then one per
+        # node), and every pair's derivative reads its answer.
+        tested, flags = [], []
+        is_zero, difference = fbm._zero_exponent, fbm._derivative_difference
+        monkeypatch.setattr(fbm, "_zero_exponent",
+                            lambda c: tested.append(c.shape) or is_zero(c))
+        monkeypatch.setattr(fbm, "_derivative_difference",
+                            lambda c, s, t, z: flags.append(z) or difference(c, s, t, z))
+        cfg = MehlerConfig(seed=4, quad_nodes=4, mc_samples=32)
+        pairs = [(0, 8), (2, 5), (3, 3)]
+        delta_fbm(uniform_grid(0.7, 1.0, 8), drift, pairs, cfg=cfg, n_outer=4)
+        assert len(tested) == 1 + cfg.quad_nodes
+        assert flags == [zero] * (len(pairs) * len(tested))
+
+
 class TestDeltaAgainstClosedForms:
     def test_gram_conjugation_identity(self):
         # The whitened-coordinate dot product equals the increment-space
