@@ -50,6 +50,7 @@ from .core import (
     sample,
     w,
 )
+from .engine import Estimate, difference
 from .engine import MehlerConfig, gamma_pointwise, ibp_residual, mean_estimate, poincare_check
 from .fbm import (
     NEG_TANH_DRIFT,
@@ -92,9 +93,9 @@ class Row:
     rule: str
 
 
-# Every 3-SE verdict comes from upper, lower or close.  Each takes scalars,
-# or arrays for an aggregated check, whose row is then the entry with the
-# least slack: that entry passes exactly when every entry does.
+# Every 3-SE verdict comes from upper, lower or close, which compare two sides
+# (see _sides).  Arrays make an aggregated check, whose row is then the entry
+# with the least slack: that entry passes exactly when every entry does.
 
 def _tightest(name, lhs, rhs, se, slack, rule) -> Row:
     lhs, rhs, se, slack = (np.ravel(a) for a in np.broadcast_arrays(lhs, rhs, se, slack))
@@ -103,20 +104,37 @@ def _tightest(name, lhs, rhs, se, slack, rule) -> Row:
                bool(slack[k] >= 0.0), rule)
 
 
-def upper(name, lhs, rhs, se) -> Row:
-    """Passes when lhs <= rhs + 3 se."""
+def _sides(lhs, rhs):
+    """The values of two sides and the standard error of their comparison.  A
+    side is an Estimate or an exact value; the SE is the other side's when one
+    is exact, else that of ``difference``.  A list of Estimates as ``lhs`` is
+    stacked into one Estimate of arrays."""
+    if isinstance(lhs, list):
+        lhs = Estimate(np.array([e.value for e in lhs]), np.array([e.std_error for e in lhs]))
+    if not isinstance(rhs, Estimate):
+        return lhs.value, rhs, lhs.std_error
+    if not isinstance(lhs, Estimate):
+        return lhs, rhs.value, rhs.std_error
+    return lhs.value, rhs.value, difference(lhs, rhs).std_error
+
+
+def upper(name, lhs, rhs) -> Row:
+    """Passes when lhs <= rhs + 3 SE."""
+    lhs, rhs, se = _sides(lhs, rhs)
     return _tightest(name, lhs, rhs, se, rhs + 3.0 * se - lhs,
                      "pass when lhs <= rhs + 3 SE")
 
 
-def lower(name, lhs, rhs, se, atol=0.0) -> Row:
-    """Passes when lhs >= rhs - 3 se - atol."""
+def lower(name, lhs, rhs, atol=0.0) -> Row:
+    """Passes when lhs >= rhs - 3 SE - atol."""
+    lhs, rhs, se = _sides(lhs, rhs)
     return _tightest(name, lhs, rhs, se, lhs - (rhs - 3.0 * se - atol),
                      "pass when lhs >= rhs - 3 SE" + (f" - {atol:g}" if atol else ""))
 
 
-def close(name, lhs, rhs, se, rel=0.0) -> Row:
-    """Passes when |lhs - rhs| <= max(rel |rhs|, 3 se)."""
+def close(name, lhs, rhs, rel=0.0) -> Row:
+    """Passes when |lhs - rhs| <= max(rel |rhs|, 3 SE)."""
+    lhs, rhs, se = _sides(lhs, rhs)
     slack = np.maximum(rel * np.abs(rhs), 3.0 * se) - np.abs(lhs - rhs)
     bound = f"max({rel:g} |rhs|, 3 SE)" if rel else "3 SE"
     return _tightest(name, lhs, rhs, se, slack, f"pass when |lhs - rhs| <= {bound}")
@@ -137,10 +155,10 @@ def _phi_pair(name: str):
 # ---------------------------------------------------------------------------
 
 class Param(NamedTuple):
-    """A declared default with a bound: a number must be >= ``low`` and a list
-    must hold >= ``low`` entries; a value in ``choices`` is taken as is, and a
-    string default accepts nothing else.  A key with ``needs`` is accepted
-    only when the key it names is given too."""
+    """A declared default with a bound: an integer must be >= ``low`` and a
+    list must hold >= ``low`` entries; a value in ``choices`` is taken as is,
+    and a string default accepts nothing else.  A key with ``needs`` is
+    accepted only when the key it names is given too."""
 
     default: object
     low: int | None = None
@@ -152,17 +170,22 @@ def _param(spec) -> Param:
     return spec if isinstance(spec, Param) else Param(spec)
 
 
+def _finite(name: str, value) -> float:
+    """A finite JSON number as a float: a bool or text is not a number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _floats(name: str, value) -> list[float]:
     """A list of finite numbers as a list of floats."""
-    if isinstance(value, (list, tuple)):
-        try:
-            floats = [float(v) for v in value]
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if all(math.isfinite(v) for v in floats):
-                return floats
-    raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
+    return [_finite(f"{name} entry", v) for v in value]
 
 
 def merge(where: str, given, declared: dict) -> dict:
@@ -170,9 +193,10 @@ def merge(where: str, given, declared: dict) -> dict:
 
     An undeclared key is a ValueError naming it and the accepted keys; a
     missing key takes its default, a value whose default is a bool must be a
-    JSON boolean, a value whose default is a number is converted to the
-    default's type and must be finite, and a value whose default is a tuple
-    of floats must be a list of finite numbers and becomes a list of floats.
+    JSON boolean, a value whose default is an int must be an integer
+    (``require_integer``), a value whose default is a float must be a finite
+    JSON number and becomes a float, and a value whose default is a tuple of
+    floats must be a list of finite numbers and becomes a list of floats.
     A default of None is computed by the caller from other keys.
     """
     if not isinstance(given, dict):
@@ -198,22 +222,16 @@ def merge(where: str, given, declared: dict) -> dict:
         if isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ValueError(f"{name} must be true or false, got {value!r}")
-        elif isinstance(default, (int, float)):
-            try:
-                value = type(default)(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(f"{name} must be a number, got {value!r}") from None
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        elif isinstance(default, int):
+            value = require_integer(value, low, name)
+        elif isinstance(default, float):
+            value = _finite(name, value)
         elif isinstance(default, tuple) and all(isinstance(v, float) for v in default):
             value = _floats(name, value)
-        if low is not None:
-            if isinstance(default, tuple):
-                if not isinstance(value, (list, tuple)) or len(value) < low:
-                    raise ValueError(f"{name} must be a list of >= {low} entries, "
-                                     f"got {value!r}")
-            elif value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        if low is not None and isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or len(value) < low:
+                raise ValueError(f"{name} must be a list of >= {low} entries, "
+                                 f"got {value!r}")
         merged[key] = value
     return merged
 
@@ -285,9 +303,7 @@ def run_gamma(params, seed, workers, cfg):
         ests = [gamma_pointwise(f, g, points[k], cfg,
                                 rng=np.random.default_rng(rng.integers(2**63)))
                 for k in range(n_points)]
-        rows.append(close(f"gamma/{name}", np.array([e.value for e in ests]),
-                          gamma_oracle(f, g, points),
-                          np.array([e.std_error for e in ests]), rel=0.01))
+        rows.append(close(f"gamma/{name}", ests, gamma_oracle(f, g, points), rel=0.01))
     return rows
 
 
@@ -318,8 +334,7 @@ def run_ibp_check(params, seed, workers, cfg):
         sides = ibp_residual(phi_pairs, f, g, params["n_outer"], cfg,
                              seed=seed + 131 * pair_index)
         for phi_name, (lhs, rhs) in zip(phis, sides):
-            rows.append(close(f"ibp/{name}/{phi_name}", lhs.value, rhs.value,
-                              math.hypot(lhs.std_error, rhs.std_error)))
+            rows.append(close(f"ibp/{name}/{phi_name}", lhs, rhs))
     return rows
 
 
@@ -350,8 +365,7 @@ def run_poincare(params, seed, workers, cfg):
         sides = poincare_check(f, params["p"], params["n_outer"], cfg,
                                seed=seed + 977 * fn_index)
         for p, (lhs, rhs) in zip(params["p"], sides):
-            rows.append(upper(f"poincare/{text}/p={p:g}", lhs.value, rhs.value,
-                              math.hypot(lhs.std_error, rhs.std_error)))
+            rows.append(upper(f"poincare/{text}/p={p:g}", lhs, rhs))
     return rows
 
 
@@ -371,12 +385,10 @@ def run_sudakov(params, seed, workers, cfg):
         for ti, t in enumerate(t_grid):
             est = sf_phi_prime(pair, float(t), beta, cfg, params["n_outer"],
                                seed=seed + 7919 * bi + 104729 * ti, workers=workers)
-            rows.append(upper(f"sudakov/phi-prime/beta={beta:g}/t={t:.3f}", est.value,
-                              0.0, est.std_error))
+            rows.append(upper(f"sudakov/phi-prime/beta={beta:g}/t={t:.3f}", est, 0.0))
     e_f = expected_max(pair.f, n_sup, seed=seed + 1, workers=workers)
     e_g = expected_max(pair.g, n_sup, seed=seed + 2, workers=workers)
-    rows.append(upper("sudakov/max-comparison", e_f.value, e_g.value,
-                      math.hypot(e_f.std_error, e_g.std_error)))
+    rows.append(upper("sudakov/max-comparison", e_f, e_g))
 
     # Baseline: adding independent centered noise can only raise the expected max.
     space = build_space(2 * d)
@@ -386,8 +398,7 @@ def run_sudakov(params, seed, workers, cfg):
     ])
     e_base = expected_max(base, n_sup, seed=seed + 11, workers=workers)
     e_noisy = expected_max(noisy, n_sup, seed=seed + 12, workers=workers)
-    rows.append(upper("sudakov/additive-noise-baseline", e_base.value, e_noisy.value,
-                      math.hypot(e_base.std_error, e_noisy.std_error)))
+    rows.append(upper("sudakov/additive-noise-baseline", e_base, e_noisy))
     return rows
 
 
@@ -412,11 +423,10 @@ def run_slepian(params, seed, workers, cfg):
     for ti, t in enumerate(default_t_grid(params["t_points"])):
         est = slepian_phi_prime(pair, fn, float(t), cfg, params["n_outer"],
                                 seed=seed + 31 * ti, workers=workers)
-        rows.append(lower(f"slepian/phi-prime/t={t:.3f}", est.value, 0.0, est.std_error))
+        rows.append(lower(f"slepian/phi-prime/t={t:.3f}", est, 0.0))
     e_f = expected_value(pair.f, fn, params["n_value"], seed=seed + 3, workers=workers)
     e_g = expected_value(pair.g, fn, params["n_value"], seed=seed + 4, workers=workers)
-    rows.append(lower("slepian/functional-comparison", e_f.value, e_g.value,
-                      math.hypot(e_f.std_error, e_g.std_error)))
+    rows.append(lower("slepian/functional-comparison", e_f, e_g))
     return rows
 
 
@@ -426,33 +436,28 @@ def run_slepian(params, seed, workers, cfg):
             n_outer=Param(1_000_000, low=2), x=2.0, x2=(1.5, 1.5), n_psd=Param(16, low=1))
 def run_concentration(params, seed, workers, cfg):
     """Joint upper tail against the Gaussian-dominated exponential bound."""
-    rows = []
-    case, n_outer = params["case"], params["n_outer"]
+    case, x2 = params["case"], params["x2"]
+    if case in ("chaos2", "both") and len(x2) != 2:
+        raise ValueError("params key 'x2' must have one entry per field component (2), "
+                         f"got {x2!r}")
+    cases = []  # (label, field, C, x, seed)
     if case in ("scalar-gaussian", "both"):
-        space = build_space(1)
-        fld = make_field(space, [w(0)])
-        res = concentration_check(fld, np.array([[1.0]]), np.array([params["x"]]),
-                                  n_outer, cfg, n_psd=params["n_psd"], seed=seed,
-                                  workers=workers)
-        rows += _concentration_rows("scalar", res)
+        cases.append(("scalar", make_field(build_space(1), [w(0)]), np.array([[1.0]]),
+                      [params["x"]], seed))
     if case in ("chaos2", "both"):
-        space = build_space(4)
         exprs = [w(0) + 0.1 * Hermite(2, w(2)), w(1) + 0.1 * Hermite(2, w(3))]
-        fld = make_field(space, exprs)
-        x = np.asarray(params["x2"], dtype=float)
-        res = concentration_check(fld, 3.0 * np.eye(2), x, n_outer, cfg,
-                                  n_psd=params["n_psd"], seed=seed + 1,
-                                  workers=workers)
-        rows += _concentration_rows("chaos2", res)
+        cases.append(("chaos2", make_field(build_space(4), exprs), 3.0 * np.eye(2), x2,
+                      seed + 1))
+    rows = []
+    for label, fld, c_matrix, x, case_seed in cases:
+        res = concentration_check(fld, c_matrix, np.asarray(x, dtype=float),
+                                  params["n_outer"], cfg, n_psd=params["n_psd"],
+                                  seed=case_seed, workers=workers)
+        # The absolute floor keeps an exactly deterministic Gamma (SE 0) from
+        # failing over a last-bit eigenvalue.
+        rows += [lower(f"concentration/{label}/psd", res.psd, 0.0, atol=1e-12),
+                 upper(f"concentration/{label}/tail", res.tail, res.bound)]
     return rows
-
-
-def _concentration_rows(case, res) -> list[Row]:
-    # The absolute floor keeps an exactly deterministic Gamma (SE 0) from
-    # failing over a last-bit eigenvalue.
-    return [lower(f"concentration/{case}/psd", res.psd_margin, 0.0,
-                  res.psd_std_error, atol=1e-12),
-            upper(f"concentration/{case}/tail", res.tail, res.bound, res.tail_std_error)]
 
 
 @experiment("perturbation", "monotone perturbation of a Gaussian vector",
@@ -482,10 +487,9 @@ def run_perturbation(params, seed, workers, cfg):
 
     pts = sample(space, np.random.default_rng(np.random.SeedSequence([seed, 0x9F])),
                  n_points)
-    values, errors = zip(*(perturbation_gamma(f_field, pts[k], cfg, seed=seed + k)
-                           for k in range(n_points)))
-    rows = [lower("perturbation/gamma-dominates-covariance", np.stack(values), base,
-                  np.stack(errors), atol=1e-9)]
+    gammas = [Estimate(*perturbation_gamma(f_field, pts[k], cfg, seed=seed + k))
+              for k in range(n_points)]
+    rows = [lower("perturbation/gamma-dominates-covariance", gammas, base, atol=1e-9)]
 
     psi = exp_linear_function(np.asarray(theta, dtype=float))
     # Drawn and evaluated in blocks of one stream, so the values are those of
@@ -496,16 +500,16 @@ def run_perturbation(params, seed, workers, cfg):
         eval_pts = sample(space, value_rng, stop - start)
         f_values[start:stop] = psi.fun(f_field.eval_all(eval_pts))
         g_values[start:stop] = psi.fun(g_field.eval_all(eval_pts))
-    e_f, e_g = mean_estimate([f_values]), mean_estimate([g_values])
-    rows.append(lower("perturbation/payoff-comparison", e_f.value, e_g.value,
-                      math.hypot(e_f.std_error, e_g.std_error)))
+    rows.append(lower("perturbation/payoff-comparison", mean_estimate([f_values]),
+                      mean_estimate([g_values])))
     return rows
 
 
 def _delta_pairs(given) -> list[tuple[float, float]]:
     """params key 'delta_pairs' as (s, t) fractions of the horizon."""
+    name = "params key 'delta_pairs' entry"
     try:
-        pairs = [(float(s), float(t)) for s, t in given]
+        pairs = [(_finite(name, s), _finite(name, t)) for s, t in given]
         ok = all(0.0 <= s <= t <= 1.0 for s, t in pairs)
     except (TypeError, ValueError):
         ok = False
@@ -555,7 +559,7 @@ def run_fbm_sde(params, seed, workers, cfg):
                      n_outer=8, seed=seed, workers=1)
     for (frac_s, frac_t), (_, _, reference), est in zip(pairs, driftless, ests):
         rows.append(close(f"fbm/delta-driftless/s={frac_s:g},t={frac_t:g}",
-                          est.value, reference, est.std_error, rel=0.02))
+                          est, reference, rel=0.02))
 
     # One call per pair: bench/test_bench.py pins their traced Euler work.
     for frac_s, frac_t in ((0.125, 0.625), (0.0, 1.0)):
@@ -563,15 +567,14 @@ def run_fbm_sde(params, seed, workers, cfg):
         [est] = delta_fbm(grid, TANH_DRIFT, [(s_idx, t_idx)], cfg=cfg,
                           n_outer=params["n_outer"], seed=seed + 3, workers=workers)
         rows.append(lower(f"fbm/delta-increasing-drift/s={frac_s:g},t={frac_t:g}",
-                          est.value, reference, est.std_error))
+                          est, reference))
 
     for name, drift, check, salt in (
             ("fbm/sup-increasing-drift", TANH_DRIFT, lower, 5),
             ("fbm/sup-decreasing-drift", NEG_TANH_DRIFT, upper, 6)):
         sde, driving = sup_comparison(grid, drift, n_paths=n_paths, seed=seed + salt,
                                       workers=workers)
-        rows.append(check(name, sde.value, driving.value,
-                          math.hypot(sde.std_error, driving.std_error)))
+        rows.append(check(name, sde, driving))
     return (rows, tables) if tables else rows
 
 
@@ -616,14 +619,13 @@ def run_sk_generic_bound(params, seed, workers, cfg):
     """Free-energy comparison bound cells over families and sizes, plus the
     paired-gap ladder for the size-scaled chaos family."""
     ns, beta = _sizes(params["ns"], 2), params["beta"]
+    families = [_family_from_spec(spec) for spec in params["families"]]
     rows = []
-    for spec in params["families"]:
-        family = _family_from_spec(spec)
+    for family in families:
         for n in ns:
             lhs, rhs = generic_bound_check(family, n, beta, f_name=params["f"],
                                            n_media=params["n_media"], seed=seed)
-            rows.append(upper(f"sk/generic-bound/{family.label(n)}/N={n}",
-                              lhs.value, rhs, lhs.std_error))
+            rows.append(upper(f"sk/generic-bound/{family.label(n)}/N={n}", lhs, rhs))
     gaps = []
     for n in ns:
         gap = paired_chaos2_gap(n, beta, n_media=params["gap_media"], seed=seed)
@@ -647,8 +649,7 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
     shows the medium with the least slack."""
     n = params["n"]
     rows = []
-    for spec in params["families"]:
-        family = _family_from_spec(spec)
+    for family in [_family_from_spec(spec) for spec in params["families"]]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B]))
         media = [Medium(n, coupling, gamma_diag) for coupling, gamma_diag
                  in zip(*medium_batch(family, n, rng, params["n_media"]))]

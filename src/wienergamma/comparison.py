@@ -318,11 +318,9 @@ def gamma_matrix_pointwise(fld: RandomField, omega: np.ndarray, cfg: MehlerConfi
 
 @dataclass(frozen=True)
 class ConcentrationResult:
-    tail: float
-    tail_std_error: float
+    psd: Estimate   # most negative eigenvalue of C - Gamma seen, largest Gamma SE there
+    tail: Estimate
     bound: float
-    psd_margin: float       # most negative eigenvalue of C - Gamma seen
-    psd_std_error: float    # largest Gamma std error seen
 
 
 def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
@@ -356,13 +354,7 @@ def concentration_check(fld: RandomField, c_matrix: np.ndarray, x: np.ndarray,
     bound = math.exp(-float(x @ x) / (2.0 * operator_norm(c_matrix)))
     tail = _field_mean(fld, lambda v: np.all(v >= x, axis=-1).astype(float), n_outer,
                        seed, workers, 0xC02)
-    return ConcentrationResult(
-        tail=tail.value,
-        tail_std_error=tail.std_error,
-        bound=bound,
-        psd_margin=margin,
-        psd_std_error=max_se,
-    )
+    return ConcentrationResult(Estimate(margin, max_se), tail, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ rows of ``np.eye(n)`` as directions.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -45,17 +46,18 @@ class EvaluationOverflow(FloatingPointError):
 # Hermite polynomials (probabilists' normalization: H2(x) = x^2 - 1)
 # ---------------------------------------------------------------------------
 
-def require_integer(value, low: int, what: str) -> int:
-    """``int(value)``; ExpressionError unless ``value`` is an integer >= ``low``.
+def require_integer(value, low: int | None, what: str) -> int:
+    """``int(value)``; ExpressionError unless ``value`` is an integer, and
+    >= ``low`` unless that is None.
 
-    NaN, infinities and values that are not numbers are rejected alike.
+    An integer is an int or a float with an integral value.  Bools, NaN,
+    infinities and values that are not numbers are rejected alike.
     """
-    try:
-        ok = float(value).is_integer() and value >= low
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ExpressionError(f"{what} must be an integer >= {low}, got {value!r}")
+    ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+          or isinstance(value, float) and value.is_integer())
+    if not ok or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ExpressionError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -45,9 +45,9 @@ pass.  That is bit-identical to one call per row: the seed draws the same
 points and copies, and each row's arithmetic on them is unchanged.
 
 Monte Carlo estimators return an ``Estimate`` (a mean and its standard
-error) or an (lhs, rhs) pair of them, and ``mean_estimate`` is the one fold
-from sample batches to an Estimate: every mean and standard error of the
-package comes from it.
+error) or an (lhs, rhs) pair of them.  Every standard error of the package
+comes from ``mean_estimate``, the one fold from the batches of one sample set
+to an Estimate, or from ``difference``, that of two independent Estimates.
 
 Two sampling regimes share this representation:
 
@@ -119,6 +119,11 @@ def mean_estimate(batches) -> Estimate:
     if count < 2:
         return Estimate(mean, 0.0)
     return Estimate(mean, math.sqrt(m2 / (count - 1) / count))
+
+
+def difference(a: Estimate, b: Estimate) -> Estimate:
+    """a - b, with the standard error of two independent estimates."""
+    return Estimate(a.value - b.value, math.hypot(a.std_error, b.std_error))
 
 
 @functools.lru_cache(maxsize=16)

@@ -34,6 +34,7 @@ and pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,8 +208,18 @@ def _cumulative_bprime(values: np.ndarray, drift: DriftSpec,
     return np.moveaxis(out, 0, -1)
 
 
+def _indicator(s_idx: int, t_idx: int, shape: tuple) -> np.ndarray:
+    """The read-only 0/1 indicator of s_idx <= j < t_idx, of shape
+    (t_idx,) + ``shape``: a real C-ordered array, not a broadcast view, so a
+    matrix product with it runs in BLAS as with any other derivative."""
+    out = np.ones((t_idx,) + shape)
+    out[:s_idx] = 0.0
+    out.setflags(write=False)
+    return out
+
+
 def _derivative_difference(cumulative: np.ndarray, s_idx: int, t_idx: int,
-                           zero: bool) -> np.ndarray:
+                           zero: bool, indicator=_indicator) -> np.ndarray:
     """d (F_t - F_s) / d (increment j) for j < t_idx, time-major (t_idx, ...).
 
     Increment j covers (t_j, t_{j+1}]; d F_t / d (increment j) is
@@ -216,13 +227,12 @@ def _derivative_difference(cumulative: np.ndarray, s_idx: int, t_idx: int,
     reading of the continuous kernel and matches the Euler chain rule to first
     order.  ``cumulative`` is time-major (m + 1, ...).  ``zero`` says that
     every entry of ``cumulative`` is +-0.0 (``_zero_exponent``); then each
-    exp is exp(+-0.0) = 1.0 exactly and 1.0 - 1.0 = +0.0, so the 0/1
-    indicator of s_idx <= j < t_idx is built directly, with the same bits.
+    exp is exp(+-0.0) = 1.0 exactly and 1.0 - 1.0 = +0.0, so the result is
+    ``indicator(s_idx, t_idx, shape)``, the 0/1 indicator of
+    s_idx <= j < t_idx, with the same bits.
     """
     if zero:
-        out = np.ones((t_idx,) + cumulative.shape[1:])
-        out[:s_idx] = 0.0
-        return out
+        return indicator(s_idx, t_idx, cumulative.shape[1:])
     out = np.exp(cumulative[t_idx] - cumulative[1 : t_idx + 1])
     out[:s_idx] -= np.exp(cumulative[s_idx] - cumulative[1 : s_idx + 1])
     return out
@@ -262,12 +272,15 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
         return c, _zero_exponent(c)
 
     def job(chunk, rng):
+        # A driftless solution reads the same indicator per pair at every
+        # node, so each is built once per chunk.
+        indicator = functools.cache(_indicator)
         xi = rng.standard_normal((chunk, space.dim))
         c, zero = cumulative(xi)
         # <(D_t - D_s)(y) L, (D_t - D_s)(x) L> = (D_t - D_s)(y) . v with
         # v = (D_t - D_s)(x) G: one Gram product per outer point and pair,
         # none per shifted path.
-        projected = [_derivative_difference(c, s_idx, t_idx, zero).T
+        projected = [_derivative_difference(c, s_idx, t_idx, zero, indicator).T
                      @ space.gram[:t_idx, :t_idx] for s_idx, t_idx in pairs]
         inner = inner_normals(rng, (chunk,), per, space.dim, cfg.antithetic)
 
@@ -276,7 +289,8 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
             c_y = c_y.reshape(-1, chunk, per)
             means = []
             for (s_idx, t_idx), v in zip(pairs, projected):
-                d = _derivative_difference(c_y, s_idx, t_idx, zero_y).transpose(1, 0, 2)
+                d = _derivative_difference(c_y, s_idx, t_idx, zero_y,
+                                           indicator).transpose(1, 0, 2)
                 means.append(copy_mean((v[:, None, :] @ d)[:, 0]))
             return np.stack(means)
 

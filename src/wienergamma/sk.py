@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Estimate, mean_estimate
+from .engine import Estimate, difference, mean_estimate
 
 MAX_EXACT_SPINS = 24
 MAX_GIBBS_SPINS = 20
@@ -414,7 +414,8 @@ def generic_bound_check(family: MediumFamily, n: int, beta: float,
 
     star = mean_estimate([f(_free_energies(IID_GAUSSIAN, n, beta, n_media, [seed, 0x5A, n]))])
     fam = mean_estimate([f(_free_energies(family, n, beta, n_media, [seed, 0xFA, n]))])
-    lhs = Estimate(abs(star.value - fam.value), math.hypot(star.std_error, fam.std_error))
+    gap = difference(star, fam)
+    lhs = Estimate(abs(gap.value), gap.std_error)
     audit = condition_audit(family, n)
     return lhs, (3.0 * beta**2 / (2.0 * n**2)) * (audit.sum_diag_gap + audit.sum_cross_abs)
 

@@ -192,8 +192,7 @@ class TestCriterion08Poincare:
         [(lhs, rhs)] = poincare_check(f, [2.0], n_outer=400_000, cfg=DEFAULT_CFG,
                                       seed=110)
         gap = abs(lhs.value - rhs.value)
-        row = upper("poincare/p=2", lhs.value, rhs.value,
-                    math.hypot(lhs.std_error, rhs.std_error))
+        row = upper("poincare/p=2", lhs, rhs)
         announce(8, gap < 0.01 and row.verdict,
                  f"p=2 Gaussian case within 1% of equality (|{lhs.value:.5f} - "
                  f"{rhs.value:.5f}| = {gap:.5f})")

@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 import wienergamma
-from wienergamma import cli, comparison, engine
+from wienergamma import cli, comparison, engine, fbm, sk
 from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
-from wienergamma.engine import MehlerConfig
+from wienergamma.engine import Estimate, MehlerConfig
 from wienergamma.parallel import BLOCK, block_bounds
 from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
 from test_acceptance import SMOKE_CONFIGS
 
 
 SMALL_MEHLER = {"quad_nodes": 8, "mc_samples": 256}
+# Two standard errors whose hypot math.hypot and np.hypot round apart.
+SE_PAIR = (0.8735226311207321, 0.4723003367500115)
 
 # Rule text -> the constructor call that writes it; every other rule in a
 # report is exact or report-only.
@@ -40,43 +42,81 @@ OTHER_RULES = {
 
 
 class TestRowConstructors:
+    """Each rule takes two sides; an exact side is a number or an array."""
+
     def test_upper_boundary(self):
-        assert upper("r", 2.5, 1.0, 0.5).verdict
-        assert not upper("r", np.nextafter(2.5, 3.0), 1.0, 0.5).verdict
+        assert upper("r", Estimate(2.5, 0.5), 1.0).verdict
+        assert not upper("r", Estimate(np.nextafter(2.5, 3.0), 0.5), 1.0).verdict
+        assert upper("r", 2.5, Estimate(1.0, 0.5)).verdict
+        assert not upper("r", np.nextafter(2.5, 3.0), Estimate(1.0, 0.5)).verdict
 
     def test_lower_boundary(self):
-        assert lower("r", 0.25, 1.0, 0.25).verdict
-        assert not lower("r", np.nextafter(0.25, 0.0), 1.0, 0.25).verdict
+        assert lower("r", Estimate(0.25, 0.25), 1.0).verdict
+        assert not lower("r", Estimate(np.nextafter(0.25, 0.0), 0.25), 1.0).verdict
+        assert lower("r", 0.25, Estimate(1.0, 0.25)).verdict
+        assert not lower("r", np.nextafter(0.25, 0.0), Estimate(1.0, 0.25)).verdict
 
     def test_close_boundary_on_both_sides(self):
         for edge, outward, rhs in ((2.5, 3.0, 1.0), (-1.5, -2.0, 0.0)):
-            assert close("r", edge, rhs, 0.5).verdict
-            assert not close("r", np.nextafter(edge, outward), rhs, 0.5).verdict
+            assert close("r", Estimate(edge, 0.5), rhs).verdict
+            assert not close("r", Estimate(np.nextafter(edge, outward), 0.5), rhs).verdict
 
     def test_zero_standard_error(self):
-        assert upper("r", 1.0, 1.0, 0.0).verdict
-        assert not upper("r", np.nextafter(1.0, 2.0), 1.0, 0.0).verdict
-        assert lower("r", -1e-12, 0.0, 0.0, atol=1e-12).verdict
-        assert not lower("r", -2e-12, 0.0, 0.0, atol=1e-12).verdict
-        assert not lower("r", -1e-300, 0.0, 0.0).verdict
-        assert close("r", 1.0, 1.0, 0.0).verdict
-        assert not close("r", np.nextafter(1.0, 2.0), 1.0, 0.0).verdict
+        assert upper("r", Estimate(1.0, 0.0), 1.0).verdict
+        assert not upper("r", Estimate(np.nextafter(1.0, 2.0), 0.0), 1.0).verdict
+        assert lower("r", Estimate(-1e-12, 0.0), 0.0, atol=1e-12).verdict
+        assert not lower("r", Estimate(-2e-12, 0.0), 0.0, atol=1e-12).verdict
+        assert not lower("r", Estimate(-1e-300, 0.0), 0.0).verdict
+        assert close("r", Estimate(1.0, 0.0), 1.0).verdict
+        assert not close("r", Estimate(np.nextafter(1.0, 2.0), 0.0), 1.0).verdict
 
     def test_rel_dominates_three_se(self):
-        assert close("r", 2.19, 2.0, 0.01, rel=0.1).verdict
-        assert close("r", -2.19, -2.0, 0.01, rel=0.1).verdict
-        assert not close("r", 2.21, 2.0, 0.01, rel=0.1).verdict
+        assert close("r", Estimate(2.19, 0.01), 2.0, rel=0.1).verdict
+        assert close("r", Estimate(-2.19, 0.01), -2.0, rel=0.1).verdict
+        assert not close("r", Estimate(2.21, 0.01), 2.0, rel=0.1).verdict
 
     def test_rules_without_slack_options_are_unchanged(self):
-        assert upper("r", 0.0, 0.0, 1.0).rule == "pass when lhs <= rhs + 3 SE"
-        assert close("r", 0.0, 0.0, 1.0).rule == "pass when |lhs - rhs| <= 3 SE"
+        assert upper("r", Estimate(0.0, 1.0), 0.0).rule == "pass when lhs <= rhs + 3 SE"
+        assert close("r", Estimate(0.0, 1.0), 0.0).rule == "pass when |lhs - rhs| <= 3 SE"
 
     def test_aggregate_row_is_the_entry_with_least_slack(self):
-        row = close("r", np.array([1.0, 1.4, 1.1]), 1.0, np.array([0.1, 0.1, 0.1]))
+        row = close("r", Estimate(np.array([1.0, 1.4, 1.1]), np.array([0.1, 0.1, 0.1])), 1.0)
         assert (row.lhs, row.rhs, row.std_error, row.verdict) == (1.4, 1.0, 0.1, False)
-        row = lower("r", np.array([[2.0, 0.9], [1.5, 1.0]]), np.array([1.0, 1.0]), 0.05)
+        row = lower("r", Estimate(np.array([[2.0, 0.9], [1.5, 1.0]]), 0.05),
+                    np.array([1.0, 1.0]))
         assert (row.lhs, row.verdict) == (0.9, True)
-        assert row == lower("r", 0.9, 1.0, 0.05)
+        assert row == lower("r", Estimate(0.9, 0.05), 1.0)
+
+    def test_a_list_of_estimates_is_stacked_into_one_side(self):
+        ests = [Estimate(np.array([1.0, 2.0]), np.array([0.1, 0.2])),
+                Estimate(np.array([1.5, 0.5]), np.array([0.3, 0.04]))]
+        stacked = Estimate(np.array([[1.0, 2.0], [1.5, 0.5]]),
+                           np.array([[0.1, 0.2], [0.3, 0.04]]))
+        exact = np.array([[1.0, 1.0], [1.0, 1.0]])
+        row = lower("r", ests, exact, atol=1e-9)
+        assert row == lower("r", stacked, exact, atol=1e-9)
+        assert (row.lhs, row.std_error, row.verdict) == (0.5, 0.04, False)
+
+    def test_two_estimates_carry_the_hypot_of_their_errors(self):
+        a, b = Estimate(1.0, SE_PAIR[0]), Estimate(0.25, SE_PAIR[1])
+        for rule in (upper, lower, close):
+            row = rule("r", a, b)
+            assert (row.lhs, row.rhs) == (1.0, 0.25)
+            assert row.std_error == math.hypot(*SE_PAIR)
+            assert row.std_error == engine.difference(a, b).std_error
+
+    def test_one_exact_side_carries_the_other_error_unchanged(self):
+        se = 0.123
+        for rule in (upper, lower, close):
+            assert rule("r", Estimate(0.5, se), 1.0).std_error == se
+            assert rule("r", 1.0, Estimate(0.5, se)).std_error == se
+        errors = np.array([se, 2.0 * se, 3.0 * se])
+        values = np.array([1.0, 1.0, 1.0])
+        for k in range(3):
+            exact = np.array([1.0, 1.0, 1.0])
+            exact[k] = -5.0  # the entry with the least slack
+            assert lower("r", Estimate(exact, errors), values).std_error == errors[k]
+            assert upper("r", values, Estimate(exact, errors)).std_error == errors[k]
 
 
 def test_catalog_has_twelve_stable_entries():
@@ -330,6 +370,38 @@ BAD_INPUTS = {
                                  "error in config ", "'check_reference'"),
     "mehler-number-antithetic": ('{"command": "gamma", "mehler": {"antithetic": 0}}',
                                  "error in config ", "'antithetic'"),
+    # A number key takes a JSON number, never a bool or text, and an integer
+    # key an integral one; the "error in config" prefix shows that each is
+    # rejected before the runner starts.
+    "gamma-bool-points": (_config("gamma", n_points=True), "error in config ",
+                          "'n_points'"),
+    "gamma-fractional-points": (_config("gamma", n_points=2.7), "error in config ",
+                                "'n_points'"),
+    "gamma-text-points": (_config("gamma", n_points="3"), "error in config ",
+                          "'n_points'"),
+    "sk-free-energy-bool-beta": (_config("sk-free-energy", n=4, beta=False),
+                                 "error in config ", "'beta'"),
+    "bool-seed": ('{"command": "gamma", "seed": true}', "error in config ", "'seed'"),
+    "bool-workers": ('{"command": "gamma", "workers": true}', "error in config ",
+                     "'workers'"),
+    "mehler-fractional-nodes": ('{"command": "gamma", "mehler": {"quad_nodes": 2.9}}',
+                                "error in config ", "'quad_nodes'"),
+    "sudakov-bool-beta": (_config("sudakov", betas=[True]), "error in config ", "'betas'"),
+    "convergence-bool-size": (_config("sk-convergence", ns=[True], n_media=2), "error: ",
+                              "'ns'"),
+    "fbm-bool-pair": (_config("fbm-sde", delta_pairs=[[False, True]]), "error: ",
+                      "'delta_pairs'"),
+    # Bad entries that come after valid ones, checked before the first draw.
+    "concentration-both-short-x2": (_config("concentration", x2=[1.0]), "error: ",
+                                    "'x2'"),
+    "sk-gamma-bad-third-family": (
+        _config("sk-gamma-bound", n=10, families=[
+            "iid-gaussian", {"kind": "clt-chaos2", "m": 1},
+            {"kind": "correlated-gaussian", "rr": 3.0}]), "error: ", "'rr'"),
+    "sk-generic-bad-last-family": (
+        _config("sk-generic-bound", ns=[6], families=[
+            {"kind": "clt-chaos2", "m": 1}, {"kind": "correlated-gaussian", "rr": 3.0}]),
+        "error: ", "'rr'"),
 }
 
 
@@ -345,19 +417,34 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, text, prefix, names):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("case", ["empty-p", "empty-phi"])
-def test_empty_check_list_rejected_before_any_draw(tmp_path, capsys, monkeypatch, case):
-    def refuse(*args, **kwargs):
-        raise AssertionError("drew outer points or ran a Mehler pass")
+def refuse(*args, **kwargs):
+    raise AssertionError("drew outer points, media or ran a Mehler pass")
 
-    monkeypatch.setattr(engine, "sample", refuse)
-    monkeypatch.setattr(engine, "coupled_gamma_values", refuse)
+
+def assert_rejected(tmp_path, capsys, case):
     text, prefix, names = BAD_INPUTS[case]
     config_path = tmp_path / "cfg.json"
     config_path.write_text(text)
     assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and names in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["empty-p", "empty-phi"])
+def test_empty_check_list_rejected_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(engine, "sample", refuse)
+    monkeypatch.setattr(engine, "coupled_gamma_values", refuse)
+    assert_rejected(tmp_path, capsys, case)
+
+
+@pytest.mark.parametrize("case", [
+    "concentration-both-short-x2", "sk-gamma-bad-third-family",
+    "sk-generic-bad-last-family", "convergence-bool-size", "fbm-bool-pair"])
+def test_bad_later_entry_rejected_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    for module, name in ((cli, "sample"), (cli, "medium_batch"), (comparison, "sample"),
+                         (engine, "sample"), (sk, "medium_batch"), (fbm, "run_chunked")):
+        monkeypatch.setattr(module, name, refuse)
+    assert_rejected(tmp_path, capsys, case)
 
 
 LOADED_AFTER_EACH_RUN = """
@@ -466,7 +553,7 @@ class TestSmokeRunners:
             assert math.isfinite(row["lhs"]) and math.isfinite(row["rhs"])
             if row["rule"] in CONSTRUCTORS:
                 rebuilt = CONSTRUCTORS[row["rule"]](
-                    row["name"], row["lhs"], row["rhs"], row["std_error"])
+                    row["name"], Estimate(row["lhs"], row["std_error"]), row["rhs"])
                 assert asdict(rebuilt) == row
             else:
                 assert row["rule"] in OTHER_RULES

@@ -15,6 +15,7 @@ from wienergamma.engine import (
     MehlerConfig,
     copy_mean,
     coupled_gamma_values,
+    difference,
     gamma_pointwise,
     gauss_legendre_unit,
     ibp_residual,
@@ -37,12 +38,19 @@ SQUARE = (lambda x: x**2, lambda x: 2.0 * x)
 
 
 def ibp_passed(lhs, rhs) -> bool:
-    return close("ibp", lhs.value, rhs.value, math.hypot(lhs.std_error, rhs.std_error)).verdict
+    return close("ibp", lhs, rhs).verdict
 
 
 def poincare_passed(lhs, rhs) -> bool:
-    return upper("poincare", lhs.value, rhs.value,
-                 math.hypot(lhs.std_error, rhs.std_error)).verdict
+    return upper("poincare", lhs, rhs).verdict
+
+
+def test_difference_of_two_independent_estimates():
+    # math.hypot, not np.hypot, which rounds this pair of errors apart.
+    a, b = Estimate(0.75, 0.8735226311207321), Estimate(-0.5, 0.4723003367500115)
+    assert difference(a, b) == Estimate(1.25, math.hypot(a.std_error, b.std_error))
+    assert difference(a, b).std_error != np.hypot(a.std_error, b.std_error)
+    assert difference(b, a) == Estimate(-1.25, difference(a, b).std_error)
 
 
 def numpy_estimate(xs: np.ndarray) -> tuple[float, float]:

@@ -1,4 +1,6 @@
 import math
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -430,12 +432,37 @@ class TestDerivativeDifference:
         monkeypatch.setattr(fbm, "_zero_exponent",
                             lambda c: tested.append(c.shape) or is_zero(c))
         monkeypatch.setattr(fbm, "_derivative_difference",
-                            lambda c, s, t, z: flags.append(z) or difference(c, s, t, z))
+                            lambda c, s, t, z, indicator: flags.append(z)
+                            or difference(c, s, t, z, indicator))
         cfg = MehlerConfig(seed=4, quad_nodes=4, mc_samples=32)
         pairs = [(0, 8), (2, 5), (3, 3)]
         delta_fbm(uniform_grid(0.7, 1.0, 8), drift, pairs, cfg=cfg, n_outer=4)
         assert len(tested) == 1 + cfg.quad_nodes
         assert flags == [zero] * (len(pairs) * len(tested))
+
+    def test_driftless_indicator_is_built_once_per_chunk(self, monkeypatch):
+        built = []
+        original = fbm._indicator
+
+        def counted(s_idx, t_idx, shape):
+            built.append((s_idx, t_idx, len(shape)))
+            return original(s_idx, t_idx, shape)
+
+        monkeypatch.setattr(fbm, "_indicator", counted)
+        cfg = MehlerConfig(seed=5, quad_nodes=4, mc_samples=32)
+        pairs = [(0, 8), (2, 5), (3, 3)]
+        run = partial(delta_fbm, uniform_grid(0.7, 1.0, 8), ZERO_DRIFT, pairs, cfg=cfg,
+                      n_outer=6, seed=2, workers=2)
+        cached = run()
+        # Per chunk and pair: one indicator for the outer paths (one lead axis)
+        # and one for their inner copies (two).
+        assert sorted(built) == sorted([(s, t, lead) for s, t in pairs
+                                        for lead in (1, 2)] * 2)
+        built.clear()
+        monkeypatch.setattr(fbm, "functools", SimpleNamespace(cache=lambda fn: fn))
+        fresh = run()
+        assert len(built) == 2 * len(pairs) * (1 + cfg.quad_nodes)
+        assert cached == fresh
 
 
 class TestDeltaAgainstClosedForms:
@@ -487,14 +514,12 @@ class TestSupComparison:
     def test_increasing_drift(self):
         grid = uniform_grid(0.7, 1.0, 64)
         sde, driving = sup_comparison(grid, TANH_DRIFT, n_paths=30_000, seed=21)
-        assert lower("sup", sde.value, driving.value,
-                     math.hypot(sde.std_error, driving.std_error)).verdict
+        assert lower("sup", sde, driving).verdict
 
     def test_decreasing_drift_reverses(self):
         grid = uniform_grid(0.7, 1.0, 64)
         sde, driving = sup_comparison(grid, NEG_TANH_DRIFT, n_paths=30_000, seed=22)
-        assert upper("sup", sde.value, driving.value,
-                     math.hypot(sde.std_error, driving.std_error)).verdict
+        assert upper("sup", sde, driving).verdict
 
     @pytest.mark.parametrize("n_paths", [
         1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + BLOCK // 2 - 1,

@@ -7,6 +7,7 @@ from scipy import integrate, special, stats
 from wienergamma.chaos import form, gamma_oracle
 from wienergamma.cli import upper
 from wienergamma.core import build_space
+from wienergamma.engine import Estimate, difference, mean_estimate
 from wienergamma.sk import (
     ENERGY_CHUNK,
     IID_GAUSSIAN,
@@ -304,13 +305,26 @@ class TestGenericBound:
         n_bar = 8 * 7 / 2
         expected_rhs = (3.0 / (2.0 * 64.0)) * n_bar * chaos2_abs_gamma_gap(1)
         assert rhs == pytest.approx(expected_rhs, rel=1e-12)
-        assert upper("bound", lhs.value, rhs, lhs.std_error).verdict
+        assert upper("bound", lhs, rhs).verdict
 
     def test_correlated_family_ladder(self):
         for n in (8, 12):
             lhs, rhs = generic_bound_check(CORRELATED, n=n, beta=1.0,
                                            n_media=100, seed=18)
-            assert upper("bound", lhs.value, rhs, lhs.std_error).verdict
+            assert upper("bound", lhs, rhs).verdict
+
+    def test_lhs_is_the_difference_of_the_two_laws(self):
+        # |E f(p*) - E f(p)| with the SE of two independent estimates, as
+        # the bound formed it before engine.difference did.
+        family, n, beta, n_media, seed = CORRELATED, 8, 1.0, 40, 19
+        lhs, _ = generic_bound_check(family, n, beta, n_media=n_media, seed=seed)
+        star, fam = (mean_estimate([np.tanh(free_energy_batch(
+            medium_batch(law, n, np.random.default_rng(np.random.SeedSequence(
+                [seed, salt, n])), n_media)[0], beta))])
+            for law, salt in ((IID_GAUSSIAN, 0x5A), (family, 0xFA)))
+        assert lhs == Estimate(abs(star.value - fam.value),
+                               math.hypot(star.std_error, fam.std_error))
+        assert lhs.std_error == difference(star, fam).std_error
 
     def test_unknown_map_rejected(self):
         with pytest.raises(ValueError, match="test map"):
