@@ -66,6 +66,7 @@ from .grammar import parse_expression
 from .parallel import block_bounds
 from .sk import (
     Medium,
+    TEST_MAPS,
     MediumFamily,
     convergence_experiment,
     free_energy_exact,
@@ -140,70 +141,122 @@ def close(name, lhs, rhs, rel=0.0) -> Row:
     return _tightest(name, lhs, rhs, se, slack, f"pass when |lhs - rhs| <= {bound}")
 
 
-def _phi_pair(name: str):
-    if name == "id":
-        return (lambda x: x), (lambda x: np.ones_like(x))
-    if name == "square":
-        return (lambda x: x * x), (lambda x: 2.0 * x)
-    if name == "tanh":
-        return np.tanh, (lambda x: 1.0 / np.cosh(x) ** 2)
-    raise ValueError(f"unknown phi {name!r}; choose id, square or tanh")
+PHIS = {"id": (lambda x: x, lambda x: np.ones_like(x)),
+        "square": (lambda x: x * x, lambda x: 2.0 * x),
+        "tanh": (np.tanh, lambda x: 1.0 / np.cosh(x) ** 2)}
 
 
 # ---------------------------------------------------------------------------
 # Parameter tables: every config key is declared once, with its default
 # ---------------------------------------------------------------------------
 
+COUNT_MAX = 2**63 - 1  # the largest integer a key takes, unless its Param says more
+
+
 class Param(NamedTuple):
-    """A declared default with a bound: an integer must be >= ``low`` and a
-    list must hold >= ``low`` entries; a value in ``choices`` is taken as is,
-    and a string default accepts nothing else.  A key with ``needs`` is
-    accepted only when the key it names is given too."""
+    """A config key: its default and what else it takes.
+
+    The default shows the kind unless ``kind`` names it ("text", "family" or
+    "pair"): a bool, an integer (at most COUNT_MAX), a float, a string (one of
+    ``choices``), a dict (merged later) or a tuple, for a list of one or more
+    entries of its first entry's kind or of ``kind`` (or one string, for
+    strings).  ``low`` and ``high`` bound a number or each number of a list.
+    A ``shape`` (numbers, or names of earlier keys) makes it a float array.
+    An integer also takes ``choices`` as is, and a None default takes null.
+    A key with ``needs`` is accepted only when the key it names is given too.
+    """
 
     default: object
-    low: int | None = None
+    low: float | None = None
+    high: float | None = None
     choices: tuple = ()
     needs: str | None = None
+    kind: str | None = None
+    shape: tuple = ()
 
 
 def _param(spec) -> Param:
     return spec if isinstance(spec, Param) else Param(spec)
 
 
-def _finite(name: str, value) -> float:
-    """A finite JSON number as a float: a bool or text is not a number."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an int too large for a float
-            pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
+def _kind(spec: Param) -> str:
+    return ("array" if spec.shape else "list" if isinstance(spec.default, tuple)
+            else spec.kind or type(spec.default).__name__)
 
 
-def _floats(name: str, value) -> list[float]:
-    """A list of finite numbers as a list of floats."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list of finite numbers, got {value!r}")
-    return [_finite(f"{name} entry", v) for v in value]
+FAMILIES = {"iid-gaussian": {}, "correlated-gaussian": {"r": 3.0},
+            "clt-chaos2": {"m": Param(1, low=1, choices=("N",))}}
+
+
+def _parse(name: str, value, spec: Param):
+    """``value`` as a runner takes it, or a ValueError naming the key."""
+    kind = _kind(spec)
+    if kind == "list" and isinstance(value, str) and spec.choices:
+        value = [value]  # one name for a list of names
+    listed = isinstance(value, (list, tuple))
+    if kind == "list" and listed:
+        entry = spec._replace(default=spec.default[0])
+        return [_parse(f"{name} entry", v, entry) for v in value]
+    if kind == "array" and listed and len(value) == spec.shape[0]:
+        inner = Param(0.0, spec.low, spec.high, shape=spec.shape[1:])
+        return np.array([_parse(f"{name} entry", v, inner) for v in value])
+    if kind == "pair" and listed and len(value) == 2:
+        s, t = (_parse(name, v, Param(0.0, 0.0, 1.0)) for v in value)
+        if s <= t:
+            return s, t
+    if kind == "int":
+        return value if value in spec.choices else require_integer(
+            value, spec.low, name, COUNT_MAX if spec.high is None else spec.high)
+    if (kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max  # neither NaN, infinite nor a huge int
+            and (spec.low is None or value >= spec.low)
+            and (spec.high is None or value <= spec.high)):
+        return float(value)
+    if kind == "family":
+        given = value if isinstance(value, dict) else {"kind": value}
+        family = given.get("kind")
+        if family in tuple(FAMILIES):
+            return MediumFamily(**merge(f"{name} ({family})", given, {
+                "kind": Param(family, choices=(family,)), **FAMILIES[family]}))
+    if (kind == "bool" and isinstance(value, bool) or kind == "str" and value in spec.choices
+            or kind == "text" and isinstance(value, str) or kind == "dict"):
+        return value
+    raise ValueError(f"{name} must be {_describe(spec)}, got {value!r}")
+
+
+def _describe(spec: Param) -> str:
+    """What a key takes, in words: for --list and for the error on a bad value."""
+    kind = _kind(spec)
+    bounds = " and".join(f" {op} {b:g}" for op, b in ((">=", spec.low), ("<=", spec.high))
+                         if b is not None and b < math.inf)
+    if kind == "list":
+        return (f"a list of one or more entries, each "
+                f"{_describe(spec._replace(default=spec.default[0]))}"
+                + (", or one such name" if spec.choices else ""))
+    if kind == "array":
+        return (f"a list of one entry per field component ({spec.shape[0]}), each "
+                + _describe(Param(0.0, spec.low, spec.high, shape=spec.shape[1:])))
+    return {
+        "bool": "true or false",
+        "int": f"an integer{bounds}" + "".join(f" or {c}" for c in spec.choices),
+        "float": f"a finite number{bounds}",
+        "str": f"one of {', '.join(spec.choices)}",
+        "text": "text",
+        "pair": "an [s, t] pair with 0 <= s <= t <= 1",
+        "family": f"a medium family, {', '.join(FAMILIES)}, or an object with its kind",
+    }.get(kind, "a JSON object")
 
 
 def merge(where: str, given, declared: dict) -> dict:
-    """``given`` checked against ``declared`` (key -> default or Param).
-
-    An undeclared key is a ValueError naming it and the accepted keys; a
-    missing key takes its default, a value whose default is a bool must be a
-    JSON boolean, a value whose default is an int must be an integer
-    (``require_integer``), a value whose default is a float must be a finite
-    JSON number and becomes a float, and a value whose default is a tuple of
-    floats must be a list of finite numbers and becomes a list of floats.
-    A default of None is computed by the caller from other keys.
-    """
+    """``given`` checked against ``declared`` (key -> default or Param) and
+    parsed, a missing key as its default: the one check of a config's keys.
+    An undeclared key, an empty list or a value that its Param does not take
+    is a ValueError naming the key."""
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object")
     for key in given:
         if key not in declared:
-            raise ValueError(f"unknown {where} key {key!r}; accepted keys: "
+            raise ValueError(f"{where} takes no key {key!r}; accepted keys: "
                              f"{', '.join(declared) or 'none'}")
         needs = _param(declared[key]).needs
         if needs and given.get(needs) is None:
@@ -211,42 +264,14 @@ def merge(where: str, given, declared: dict) -> dict:
                              "which is not given")
     merged = {}
     for key, spec in declared.items():
-        default, low, choices, _ = _param(spec)
-        value = given.get(key, default)
-        name = f"{where} key {key!r}"
-        if value in choices:
-            merged[key] = value
-            continue
-        if choices and isinstance(default, str):
-            raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-        elif isinstance(default, int):
-            value = require_integer(value, low, name)
-        elif isinstance(default, float):
-            value = _finite(name, value)
-        elif isinstance(default, tuple) and all(isinstance(v, float) for v in default):
-            value = _floats(name, value)
-        if low is not None and isinstance(default, tuple):
-            if not isinstance(value, (list, tuple)) or len(value) < low:
-                raise ValueError(f"{name} must be a list of >= {low} entries, "
-                                 f"got {value!r}")
-        merged[key] = value
+        spec = _param(spec)
+        spec = spec._replace(shape=tuple(merged.get(n, n) for n in spec.shape))
+        value = given.get(key, spec.default)
+        if isinstance(spec.default, tuple) and isinstance(value, (list, tuple)) and not value:
+            raise ValueError(f"{where} {{{key!r}: {value!r}}} holds no entry to check")
+        merged[key] = (None if value is None and spec.default is None
+                       else _parse(f"{where} key {key!r}", value, spec))
     return merged
-
-
-FAMILIES = {"iid-gaussian": {}, "correlated-gaussian": {"r": 3.0},
-            "clt-chaos2": {"m": Param(1, choices=("N",))}}
-
-
-def _family_from_spec(spec) -> MediumFamily:
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in FAMILIES:
-        raise ValueError(f"unknown medium family {kind!r}; known: {', '.join(FAMILIES)}")
-    return MediumFamily(**merge(f"{kind} family", spec, {"kind": kind, **FAMILIES[kind]}))
 
 
 class Experiment(NamedTuple):
@@ -257,16 +282,6 @@ class Experiment(NamedTuple):
 
 
 EXPERIMENTS: dict[str, Experiment] = {}
-
-
-def _sizes(ns, low: int) -> list[int]:
-    """The SK sizes of params key 'ns', each an integer >= ``low``."""
-    return [require_integer(n, low, "params key 'ns' entry") for n in ns]
-
-
-def _no_checks(command: str, params: dict) -> ValueError:
-    """The error for a config that leaves its command no row to check."""
-    return ValueError(f"{command} has no checks to run for params {params}")
 
 
 def experiment(name: str, description: str, theory: str, **params):
@@ -309,16 +324,13 @@ def run_gamma(params, seed, workers, cfg):
 
 @experiment("ibp-check", "integration-by-parts residual E[phi(F)G] - E[phi'(F)Gamma]",
             "Gaussian integration by parts / chain rule",
-            n_outer=Param(10_000, low=2), phi=("id", "square", "tanh"), f_expr=None,
-            g_expr=Param(None, needs="f_expr"), dim=Param(1, needs="f_expr"))
+            n_outer=Param(10_000, low=2), phi=Param(tuple(PHIS), choices=tuple(PHIS)),
+            f_expr=Param(None, kind="text"), g_expr=Param(None, needs="f_expr", kind="text"),
+            dim=Param(1, needs="f_expr"))
 def run_ibp_check(params, seed, workers, cfg):
     """Integration-by-parts residuals over the chaos suite, or over the pair
     (f_expr, g_expr) when f_expr is set; g_expr defaults to f_expr."""
     phis = params["phi"]
-    if isinstance(phis, str):
-        phis = [phis]
-    if not phis:
-        raise _no_checks("ibp-check", params)
     rows = []
     if params["f_expr"] is not None:
         dim = params["dim"]
@@ -329,7 +341,7 @@ def run_ibp_check(params, seed, workers, cfg):
         pairs = [("custom", f, g)]
     else:
         pairs = oracle_suite(build_space(4))
-    phi_pairs = [_phi_pair(phi_name) for phi_name in phis]
+    phi_pairs = [PHIS[phi_name] for phi_name in phis]
     for pair_index, (name, f, g) in enumerate(pairs):
         sides = ibp_residual(phi_pairs, f, g, params["n_outer"], cfg,
                              seed=seed + 131 * pair_index)
@@ -350,13 +362,11 @@ POINCARE_SUITE = (
 
 @experiment("poincare", "moment bound E|F|^p <= (p-1)^{p/2} E|Gamma|^{p/2}",
             "Poincare-type inequality",
-            p=(2.0, 3.0, 4.0), n_outer=Param(20_000, low=2), expr=None,
+            p=(2.0, 3.0, 4.0), n_outer=Param(20_000, low=2), expr=Param(None, kind="text"),
             dim=Param(1, needs="expr"))
 def run_poincare(params, seed, workers, cfg):
     """Moment inequality E|F|^p <= (p-1)^{p/2} E|Gamma_{F,F}|^{p/2}, over the
     suite or over expr when it is set."""
-    if not params["p"]:
-        raise _no_checks("poincare", params)
     suite = POINCARE_SUITE if params["expr"] is None else [(params["expr"], params["dim"])]
     rows = []
     for fn_index, (text, dim) in enumerate(suite):
@@ -371,7 +381,7 @@ def run_poincare(params, seed, workers, cfg):
 
 @experiment("sudakov", "supremum comparison via soft-max interpolation",
             "Sudakov-Fernique comparison",
-            d=5, sigma_f=1.0, sigma_g=1.5, betas=Param((1.0, 2.0, 4.0, 8.0, 16.0), low=1),
+            d=5, sigma_f=1.0, sigma_g=1.5, betas=(1.0, 2.0, 4.0, 8.0, 16.0),
             n_outer=Param(4_000, low=2), n_sup=Param(100_000, low=2),
             t_points=Param(21, low=1))
 def run_sudakov(params, seed, workers, cfg):
@@ -404,19 +414,18 @@ def run_sudakov(params, seed, workers, cfg):
 
 @experiment("slepian", "functional comparison under dominated Gamma matrices",
             "Slepian-type comparison",
-            d=2, n_outer=Param(4_000, low=2), n_value=Param(100_000, low=2), cov_g=None,
-            bump=None, t_points=Param(11, low=1))
+            d=2, n_outer=Param(4_000, low=2), n_value=Param(100_000, low=2),
+            cov_g=Param(None, shape=("d", "d")), bump=Param(None, shape=("d",)),
+            t_points=Param(11, low=1))
 def run_slepian(params, seed, workers, cfg):
     """Functional comparison with a quadratic payoff under entrywise
     dominated Gamma matrices (Gaussian case).  cov_g defaults to unit
     variances with correlation 0.1, and bump to 0.8 / sqrt(d) per entry."""
-    d = params["d"]
-    base, bump = params["cov_g"], params["bump"]
+    d, base, bump = params["d"], params["cov_g"], params["bump"]
     if base is None:
         base = np.eye(d) + 0.1 * np.ones((d, d)) - 0.1 * np.eye(d)
     if bump is None:
         bump = 0.8 * np.ones(d) / math.sqrt(d)
-    base, bump = np.asarray(base, dtype=float), np.asarray(bump, dtype=float)
     pair = build_gaussian_pair(base + np.outer(bump, bump), base)
     fn = quadratic_function(np.ones((d, d)))
     rows = []
@@ -433,26 +442,23 @@ def run_slepian(params, seed, workers, cfg):
 @experiment("concentration", "joint tail against exp(-|x|^2 / 2|C|_op)",
             "Gaussian-dominated concentration bound",
             case=Param("both", choices=("both", "scalar-gaussian", "chaos2")),
-            n_outer=Param(1_000_000, low=2), x=2.0, x2=(1.5, 1.5), n_psd=Param(16, low=1))
+            n_outer=Param(1_000_000, low=2), x=2.0, x2=Param((1.5, 1.5), low=0.0, shape=(2,)),
+            n_psd=Param(16, low=1))
 def run_concentration(params, seed, workers, cfg):
     """Joint upper tail against the Gaussian-dominated exponential bound."""
-    case, x2 = params["case"], params["x2"]
-    if case in ("chaos2", "both") and len(x2) != 2:
-        raise ValueError("params key 'x2' must have one entry per field component (2), "
-                         f"got {x2!r}")
+    case = params["case"]
     cases = []  # (label, field, C, x, seed)
     if case in ("scalar-gaussian", "both"):
         cases.append(("scalar", make_field(build_space(1), [w(0)]), np.array([[1.0]]),
                       [params["x"]], seed))
     if case in ("chaos2", "both"):
         exprs = [w(0) + 0.1 * Hermite(2, w(2)), w(1) + 0.1 * Hermite(2, w(3))]
-        cases.append(("chaos2", make_field(build_space(4), exprs), 3.0 * np.eye(2), x2,
-                      seed + 1))
+        cases.append(("chaos2", make_field(build_space(4), exprs), 3.0 * np.eye(2),
+                      params["x2"], seed + 1))
     rows = []
     for label, fld, c_matrix, x, case_seed in cases:
-        res = concentration_check(fld, c_matrix, np.asarray(x, dtype=float),
-                                  params["n_outer"], cfg, n_psd=params["n_psd"],
-                                  seed=case_seed, workers=workers)
+        res = concentration_check(fld, c_matrix, x, params["n_outer"], cfg,
+                                  n_psd=params["n_psd"], seed=case_seed, workers=workers)
         # The absolute floor keeps an exactly deterministic Gamma (SE 0) from
         # failing over a last-bit eigenvalue.
         rows += [lower(f"concentration/{label}/psd", res.psd, 0.0, atol=1e-12),
@@ -462,7 +468,8 @@ def run_concentration(params, seed, workers, cfg):
 
 @experiment("perturbation", "monotone perturbation of a Gaussian vector",
             "Slepian-type comparison for perturbed vectors",
-            n_points=Param(5, low=1), n_value=Param(150_000, low=2), theta=(0.4, 0.4))
+            n_points=Param(5, low=1), n_value=Param(150_000, low=2),
+            theta=Param((0.4, 0.4), shape=(2,)))
 def run_perturbation(params, seed, workers, cfg):
     """Monotone perturbation of a Gaussian vector: Gamma dominates the base
     covariance entrywise and a payoff with nonnegative cross-derivatives
@@ -470,10 +477,6 @@ def run_perturbation(params, seed, workers, cfg):
     n_points, n_value = params["n_points"], params["n_value"]
     chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 1.0]]))
     g_rows = np.hstack([chol, np.zeros((2, 2))])
-    theta = params["theta"]
-    if len(theta) != len(g_rows):
-        raise ValueError(f"params key 'theta' must have one entry per field component "
-                         f"({len(g_rows)}), got {theta!r}")
     spec = PerturbationSpec(
         g_rows=g_rows,
         f_rows=((np.array([0.0, 0.0, 1.0, 0.0]),),
@@ -491,7 +494,7 @@ def run_perturbation(params, seed, workers, cfg):
               for k in range(n_points)]
     rows = [lower("perturbation/gamma-dominates-covariance", gammas, base, atol=1e-9)]
 
-    psi = exp_linear_function(np.asarray(theta, dtype=float))
+    psi = exp_linear_function(params["theta"])
     # Drawn and evaluated in blocks of one stream, so the values are those of
     # one draw of n_value points.
     value_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA0]))
@@ -505,32 +508,16 @@ def run_perturbation(params, seed, workers, cfg):
     return rows
 
 
-def _delta_pairs(given) -> list[tuple[float, float]]:
-    """params key 'delta_pairs' as (s, t) fractions of the horizon."""
-    name = "params key 'delta_pairs' entry"
-    try:
-        pairs = [(_finite(name, s), _finite(name, t)) for s, t in given]
-        ok = all(0.0 <= s <= t <= 1.0 for s, t in pairs)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError("params key 'delta_pairs' must be a list of [s, t] pairs "
-                         f"with 0 <= s <= t <= 1, got {given!r}")
-    return pairs
-
-
 @experiment("fbm-sde", "fBm-driven SDE: squared-metric and supremum comparisons",
             "Sudakov-Fernique comparison for fBm SDEs",
             hurst=0.7, m=128, horizon=1.0, n_paths=Param(100_000, low=2),
             n_outer=Param(400, low=2), dump_paths=Param(0, low=0),
-            delta_pairs=((0.0, 1.0), (0.125, 0.375), (0.25, 0.75), (0.5, 0.625),
-                         (0.25, 1.0)))
+            delta_pairs=Param(([0.0, 1.0], [0.125, 0.375], [0.25, 0.75], [0.5, 0.625],
+                               [0.25, 1.0]), kind="pair"))
 def run_fbm_sde(params, seed, workers, cfg):
     """Supremum and squared-metric checks for the fBm-driven SDE."""
     m, n_paths, n_dump = params["m"], params["n_paths"], params["dump_paths"]
-    pairs = _delta_pairs(params["delta_pairs"])
-    if not pairs:
-        raise _no_checks("fbm-sde", params)
+    pairs = params["delta_pairs"]
     grid = uniform_grid(params["hurst"], params["horizon"], m)
     rows = []
     tables = {}
@@ -580,14 +567,14 @@ def run_fbm_sde(params, seed, workers, cfg):
 
 @experiment("sk-free-energy", "exact SK free energy by Gray-code enumeration",
             "SK partition function",
-            n=Param(8, low=1), beta=1.0, family="iid-gaussian", check_reference=False,
+            n=Param(8, low=1), beta=1.0, family=Param("iid-gaussian", kind="family"),
+            check_reference=False,
             dump_medium=False)
 def run_sk_free_energy(params, seed, workers, cfg):
     """Exact SK free energy for one sampled medium."""
     n, beta = params["n"], params["beta"]
-    family = _family_from_spec(params["family"])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C]))
-    medium = medium_sample(family, n, rng)
+    medium = medium_sample(params["family"], n, rng)
     res = free_energy_exact(medium.coupling, beta)
     rows = [Row(f"sk/free-energy/N={n}/beta={beta:g}", res.value, res.value,
                 0.0, True, RULE_REPORT)]
@@ -611,17 +598,17 @@ def run_sk_free_energy(params, seed, workers, cfg):
 
 @experiment("sk-generic-bound", "free-energy universality bound across media families",
             "SK universality: interpolation bound",
-            ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=2), f="tanh",
-            families=({"kind": "clt-chaos2", "m": 1}, {"kind": "clt-chaos2", "m": "N"},
-                      {"kind": "correlated-gaussian", "r": 3.0}),
+            ns=Param((8, 12, 16), low=2), beta=1.0, n_media=Param(200, low=2),
+            f=Param("tanh", choices=tuple(TEST_MAPS)),
+            families=Param(({"kind": "clt-chaos2", "m": 1}, {"kind": "clt-chaos2", "m": "N"},
+                            {"kind": "correlated-gaussian", "r": 3.0}), kind="family"),
             gap_media=Param(4_000, low=2))
 def run_sk_generic_bound(params, seed, workers, cfg):
     """Free-energy comparison bound cells over families and sizes, plus the
     paired-gap ladder for the size-scaled chaos family."""
-    ns, beta = _sizes(params["ns"], 2), params["beta"]
-    families = [_family_from_spec(spec) for spec in params["families"]]
+    ns, beta = params["ns"], params["beta"]
     rows = []
-    for family in families:
+    for family in params["families"]:
         for n in ns:
             lhs, rhs = generic_bound_check(family, n, beta, f_name=params["f"],
                                            n_media=params["n_media"], seed=seed)
@@ -640,16 +627,16 @@ def run_sk_generic_bound(params, seed, workers, cfg):
 
 @experiment("sk-gamma-bound", "Gamma bound for the centered free energy",
             "SK universality: concentration step",
-            n=Param(12, low=1), betas=Param((0.5, 1.0), low=1), n_media=Param(50, low=1),
-            families=("iid-gaussian", {"kind": "clt-chaos2", "m": 1},
-                      {"kind": "clt-chaos2", "m": 4},
-                      {"kind": "correlated-gaussian", "r": 3.0}))
+            n=Param(12, low=1), betas=(0.5, 1.0), n_media=Param(50, low=1),
+            families=Param(("iid-gaussian", {"kind": "clt-chaos2", "m": 1},
+                            {"kind": "clt-chaos2", "m": 4},
+                            {"kind": "correlated-gaussian", "r": 3.0}), kind="family"))
 def run_sk_gamma_bound(params, seed, workers, cfg):
     """Gamma bound for the centered free energy, per sampled medium; a row
     shows the medium with the least slack."""
     n = params["n"]
     rows = []
-    for family in [_family_from_spec(spec) for spec in params["families"]]:
+    for family in params["families"]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B]))
         media = [Medium(n, coupling, gamma_diag) for coupling, gamma_diag
                  in zip(*medium_batch(family, n, rng, params["n_media"]))]
@@ -667,15 +654,13 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
 @experiment("sk-convergence", "finite-size free-energy table across media families",
             "SK universality: finite-size trends",
             ns=Param((8, 12, 16), low=1), beta=1.0, n_media=Param(200, low=2),
-            families=({"kind": "clt-chaos2", "m": "N"},
-                      {"kind": "correlated-gaussian", "r": 3.0}))
+            families=Param(({"kind": "clt-chaos2", "m": "N"},
+                            {"kind": "correlated-gaussian", "r": 3.0}), kind="family"))
 def run_sk_convergence(params, seed, workers, cfg):
     """Free-energy table across families and sizes with gaps to the star law."""
-    families = [_family_from_spec(s) for s in params["families"]]
-    ns = _sizes(params["ns"], 1)
     rows = []
-    for row in convergence_experiment(families, params["beta"], ns, params["n_media"],
-                                      seed=seed):
+    for row in convergence_experiment(params["families"], params["beta"], params["ns"],
+                                      params["n_media"], seed=seed):
         rows.append(Row(
             f"sk/convergence/{row.family_label}/N={row.n}", row.mean,
             row.gap_to_star, row.std_error, True, RULE_REPORT))
@@ -695,19 +680,24 @@ def run(config: dict) -> dict:
     return _execute(*_settings(config))
 
 
+SEED = Param(0, low=0, high=math.inf)  # SeedSequence takes any nonnegative integer
+CONFIG = {"command": Param(None, kind="text"), "seed": SEED, "workers": Param(1, low=1),
+          "mehler": {}, "params": {}}
+
+
+MEHLER = {**asdict(MehlerConfig()), "seed": SEED}
+
+
 def _settings(config: dict):
     """Validate a config; returns (command, params, seed, workers, cfg)."""
-    top = merge("config", config, {"command": None, "seed": 0,
-                                   "workers": Param(1, low=1), "mehler": {},
-                                   "params": {}})
+    top = merge("config", config, CONFIG)
     command = top["command"]
     if command not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown command {command!r}; known commands: {known}")
     merge("params", top["params"], EXPERIMENTS[command].params)
-    # mehler.seed defaults to the run seed.
     cfg = MehlerConfig(**merge("mehler", top["mehler"],
-                               asdict(MehlerConfig(seed=top["seed"]))))
+                               {**MEHLER, "seed": SEED._replace(default=top["seed"])}))
     return command, top["params"], top["seed"], top["workers"], cfg
 
 
@@ -715,7 +705,7 @@ def _execute(command, params, seed, workers, cfg) -> dict:
     outcome = EXPERIMENTS[command].runner(params, seed, workers, cfg)
     rows, tables = outcome if isinstance(outcome, tuple) else (outcome, {})
     if not rows:
-        raise _no_checks(command, params)
+        raise ValueError(f"{command} has no checks to run for params {params}")
     return {
         "schema": 1,
         "tables": tables,
@@ -774,17 +764,20 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("csv", "json", "both"),
                         default="both")
     parser.add_argument("--list", action="store_true",
-                        help="list experiments with their params and defaults, and exit")
+                        help="list experiments with each param's default and bound, and exit")
     args = parser.parse_args(argv)
 
     if args.list:
-        def keys(defaults):
-            return "  ".join(f"{key}={json.dumps(value)}" for key, value in defaults.items())
-
-        for entry in list_experiments():
-            print(f"{entry['name']:<18} {entry['description']} [{entry['theory']}]")
-            print(f"{'':<18} params: {keys(entry['params'])}")
-        print(f"{'mehler':<18} {keys({**asdict(MehlerConfig()), 'seed': None})}")
+        for title, declared in [*((f"{name}: {e.description} [{e.theory}]", e.params)
+                                  for name, e in EXPERIMENTS.items()),
+                                ("config:", {"seed": SEED, "workers": CONFIG["workers"]}),
+                                ("mehler (seed defaults to the run seed):", MEHLER)]:
+            print(title)
+            for key, spec in declared.items():
+                spec = _param(spec)
+                print(f"    {key}={json.dumps(spec.default)}  {_describe(spec)}"
+                      + (f"; only with {spec.needs}" if spec.needs else ""))
+        print(f"Every integer but a seed is at most {COUNT_MAX}.")
         return 0
     if args.config is None:
         parser.error("--config is required unless --list is given")
@@ -804,9 +797,10 @@ def main(argv=None) -> int:
         return 2
     try:
         report = _execute(*settings)
-    except (ValueError, FloatingPointError) as exc:
-        # A parameter the runner rejects, or EvaluationOverflow in a user's
-        # expression; any other exception is a bug and keeps its traceback.
+    except (ValueError, FloatingPointError, MemoryError) as exc:
+        # A parameter the runner rejects, EvaluationOverflow in a user's
+        # expression, or an allocation too large for this machine; any other
+        # exception is a bug and keeps its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - started

@@ -46,9 +46,9 @@ class EvaluationOverflow(FloatingPointError):
 # Hermite polynomials (probabilists' normalization: H2(x) = x^2 - 1)
 # ---------------------------------------------------------------------------
 
-def require_integer(value, low: int | None, what: str) -> int:
-    """``int(value)``; ExpressionError unless ``value`` is an integer, and
-    >= ``low`` unless that is None.
+def require_integer(value, low: int | None, what: str, high=None) -> int:
+    """``int(value)``; ExpressionError unless ``value`` is an integer, >=
+    ``low`` unless that is None, and <= ``high`` unless that is None.
 
     An integer is an int or a float with an integral value.  Bools, NaN,
     infinities and values that are not numbers are rejected alike.
@@ -58,6 +58,8 @@ def require_integer(value, low: int | None, what: str) -> int:
     if not ok or low is not None and value < low:
         bound = "" if low is None else f" >= {low}"
         raise ExpressionError(f"{what} must be an integer{bound}, got {value!r}")
+    if high is not None and value > high:
+        raise ExpressionError(f"{what} must be an integer <= {high}, got {value!r}")
     return int(value)
 
 

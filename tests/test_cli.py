@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wienergamma
 from wienergamma import cli, comparison, engine, fbm, sk
@@ -210,6 +215,9 @@ def test_main_list(capsys):
     assert "sk-generic-bound" in out
     assert "gamma" in out
     assert "n_points=20" in out  # run_gamma's declared default
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    shown = readme.split("for one command it reads:")[1].split("```text\n")[1]
+    assert shown.split("```")[0] in out  # the README's copy is current
 
 
 def test_seed_override(tmp_path):
@@ -279,14 +287,14 @@ BAD_INPUTS = {
                               "'sead'"),
     "unknown-family-key": (_config("sk-free-energy", n=4,
                                    family={"kind": "correlated-gaussian", "rr": 3.0}),
-                           "error: ", "'rr'"),
+                           "error in config ", "'rr'"),
     "unknown-case": (_config("concentration", case="scalar"), "error in config ",
                      "'scalar'"),
     "empty-ns": (_config("sk-generic-bound", ns=[]), "error in config ", "'ns'"),
     "no-media": (_config("sk-gamma-bound", n=4, n_media=0), "error in config ",
                  "'n_media'"),
-    "empty-p": (_config("poincare", p=[]), "error: ", "'p': []"),
-    "empty-phi": (_config("ibp-check", phi=[]), "error: ", "'phi': []"),
+    "empty-p": (_config("poincare", p=[]), "error in config ", "'p': []"),
+    "empty-phi": (_config("ibp-check", phi=[]), "error in config ", "'phi': []"),
     "empty-sk-convergence-ns": (_config("sk-convergence", ns=[]), "error in config ",
                                 "'ns'"),
     "ibp-g-expr-without-f-expr": (_config("ibp-check", g_expr="w0"), "error in config ",
@@ -316,20 +324,21 @@ BAD_INPUTS = {
     "poincare-one-outer": (_config("poincare", n_outer=1), "error in config ",
                            "'n_outer'"),
     # SK sizes below the smallest medium the command can draw and compare.
-    "generic-size-zero": (_config("sk-generic-bound", ns=[0]), "error: ", "'ns'"),
-    "generic-size-one": (_config("sk-generic-bound", ns=[1]), "error: ", "'ns'"),
-    "convergence-size-zero": (_config("sk-convergence", ns=[0]), "error: ", "'ns'"),
+    "generic-size-zero": (_config("sk-generic-bound", ns=[0]), "error in config ", "'ns'"),
+    "generic-size-one": (_config("sk-generic-bound", ns=[1]), "error in config ", "'ns'"),
+    "convergence-size-zero": (_config("sk-convergence", ns=[0]), "error in config ", "'ns'"),
     "fbm-negative-dump": (_config("fbm-sde", dump_paths=-1), "error in config ",
                           "'dump_paths'"),
-    "fbm-short-pair": (_config("fbm-sde", delta_pairs=[[0.5]]), "error: ",
+    "fbm-short-pair": (_config("fbm-sde", delta_pairs=[[0.5]]), "error in config ",
                        "'delta_pairs'"),
-    "fbm-text-pair": (_config("fbm-sde", delta_pairs=[["a", 1]]), "error: ",
+    "fbm-text-pair": (_config("fbm-sde", delta_pairs=[["a", 1]]), "error in config ",
                       "'delta_pairs'"),
-    "fbm-pair-past-horizon": (_config("fbm-sde", delta_pairs=[[0.5, 2.0]]), "error: ",
+    "fbm-pair-past-horizon": (_config("fbm-sde", delta_pairs=[[0.5, 2.0]]),
+                              "error in config ",
                               "'delta_pairs'"),
-    "fbm-pairs-not-a-list": (_config("fbm-sde", delta_pairs=5), "error: ",
+    "fbm-pairs-not-a-list": (_config("fbm-sde", delta_pairs=5), "error in config ",
                              "'delta_pairs'"),
-    "fbm-no-delta-pairs": (_config("fbm-sde", delta_pairs=[]), "error: ",
+    "fbm-no-delta-pairs": (_config("fbm-sde", delta_pairs=[]), "error in config ",
                            "'delta_pairs': []"),
     # A list of numbers must be a list, and each entry a number.
     "sk-gamma-text-beta": (_config("sk-gamma-bound", betas=["x"], n=4, n_media=2),
@@ -351,9 +360,9 @@ BAD_INPUTS = {
     "sudakov-no-betas": (_config("sudakov", betas=[]), "error in config ", "'betas'"),
     # One threshold would broadcast onto both chaos2 components.
     "concentration-short-x2": (_config("concentration", case="chaos2", x2=[1.0]),
-                               "error: ", "one entry per field component"),
+                               "error in config ", "one entry per field component"),
     # One payoff weight for a field of two components.
-    "perturbation-short-theta": (_config("perturbation", theta=[0.4]), "error: ",
+    "perturbation-short-theta": (_config("perturbation", theta=[0.4]), "error in config ",
                                  "'theta'"),
     # Non-finite numbers, as text or as JSON NaN and Infinity, would run with
     # NaN rows or an infinite parameter.
@@ -387,21 +396,53 @@ BAD_INPUTS = {
     "mehler-fractional-nodes": ('{"command": "gamma", "mehler": {"quad_nodes": 2.9}}',
                                 "error in config ", "'quad_nodes'"),
     "sudakov-bool-beta": (_config("sudakov", betas=[True]), "error in config ", "'betas'"),
-    "convergence-bool-size": (_config("sk-convergence", ns=[True], n_media=2), "error: ",
+    "convergence-bool-size": (_config("sk-convergence", ns=[True], n_media=2),
+                              "error in config ",
                               "'ns'"),
-    "fbm-bool-pair": (_config("fbm-sde", delta_pairs=[[False, True]]), "error: ",
+    "fbm-bool-pair": (_config("fbm-sde", delta_pairs=[[False, True]]), "error in config ",
                       "'delta_pairs'"),
     # Bad entries that come after valid ones, checked before the first draw.
-    "concentration-both-short-x2": (_config("concentration", x2=[1.0]), "error: ",
+    "concentration-both-short-x2": (_config("concentration", x2=[1.0]), "error in config ",
                                     "'x2'"),
     "sk-gamma-bad-third-family": (
         _config("sk-gamma-bound", n=10, families=[
             "iid-gaussian", {"kind": "clt-chaos2", "m": 1},
-            {"kind": "correlated-gaussian", "rr": 3.0}]), "error: ", "'rr'"),
+            {"kind": "correlated-gaussian", "rr": 3.0}]), "error in config ", "'rr'"),
     "sk-generic-bad-last-family": (
         _config("sk-generic-bound", ns=[6], families=[
             {"kind": "clt-chaos2", "m": 1}, {"kind": "correlated-gaussian", "rr": 3.0}]),
-        "error: ", "'rr'"),
+        "error in config ", "'rr'"),
+    # A value of the wrong kind, size or shape for its key.
+    "ibp-number-phi": (_config("ibp-check", phi=3), "error in config ", "'phi'"),
+    "ibp-number-f-expr": (_config("ibp-check", f_expr=3), "error in config ", "'f_expr'"),
+    "poincare-number-expr": (_config("poincare", expr=3), "error in config ", "'expr'"),
+    "mehler-huge-nodes": ('{"command": "gamma", "mehler": {"quad_nodes": 1%s}}' % ("0" * 30),
+                          "error in config ", "'quad_nodes'"),
+    "mehler-huge-samples": ('{"command": "gamma", "mehler": {"mc_samples": 1%s}}'
+                            % ("0" * 30), "error in config ", "'mc_samples'"),
+    "gamma-huge-points": (_config("gamma", n_points=10**30), "error in config ",
+                          "'n_points'"),
+    "negative-seed": ('{"command": "gamma", "seed": -1}', "error in config ", "'seed'"),
+    "sk-gamma-text-families": (_config("sk-gamma-bound", families="iid-gaussian"),
+                               "error in config ", "'families'"),
+    "sk-free-energy-number-family": (_config("sk-free-energy", family=3),
+                                     "error in config ", "'family'"),
+    "slepian-large-cov": (_config("slepian", cov_g=np.eye(3).tolist()), "error in config ",
+                          "'cov_g'"),
+    "slepian-long-bump": (_config("slepian", bump=[0.5, 0.5, 0.5]), "error in config ",
+                          "'bump'"),
+    "slepian-text-cov": (_config("slepian", cov_g="x"), "error in config ", "'cov_g'"),
+    "slepian-bool-cov": (_config("slepian", cov_g=[[True, False], [False, True]]),
+                         "error in config ", "'cov_g'"),
+    "concentration-negative-x2": (_config("concentration", x2=[1.0, -1.0]),
+                                  "error in config ", "'x2'"),
+    # Counts that fit in int64 but not in memory: 2**50 points or paths ask for
+    # 32 PiB or more, beyond any 64-bit address space, so the allocation fails
+    # at once and the message shows the count.
+    "gamma-unallocatable-points": (_config("gamma", n_points=2**50), "error: ",
+                                   str(2**50)),
+    "fbm-unallocatable-dump": (_config("fbm-sde", dump_paths=2**50), "error: ",
+                               str(2**50)),
 }
 
 
@@ -437,14 +478,99 @@ def test_empty_check_list_rejected_before_any_draw(tmp_path, capsys, monkeypatch
     assert_rejected(tmp_path, capsys, case)
 
 
+FIRST_DRAWS = ((cli, "sample"), (cli, "medium_batch"), (cli, "medium_sample"),
+               (comparison, "sample"), (engine, "sample"), (sk, "medium_batch"),
+               (fbm, "run_chunked"))
+
+
 @pytest.mark.parametrize("case", [
     "concentration-both-short-x2", "sk-gamma-bad-third-family",
-    "sk-generic-bad-last-family", "convergence-bool-size", "fbm-bool-pair"])
+    "sk-generic-bad-last-family", "convergence-bool-size", "fbm-bool-pair",
+    "ibp-number-phi", "ibp-number-f-expr", "poincare-number-expr", "mehler-huge-nodes",
+    "mehler-huge-samples", "gamma-huge-points", "negative-seed", "sk-gamma-text-families",
+    "sk-free-energy-number-family", "slepian-large-cov", "slepian-long-bump",
+    "slepian-text-cov", "slepian-bool-cov", "concentration-negative-x2"])
 def test_bad_later_entry_rejected_before_any_draw(tmp_path, capsys, monkeypatch, case):
-    for module, name in ((cli, "sample"), (cli, "medium_batch"), (comparison, "sample"),
-                         (engine, "sample"), (sk, "medium_batch"), (fbm, "run_chunked")):
+    for module, name in FIRST_DRAWS:
         monkeypatch.setattr(module, name, refuse)
     assert_rejected(tmp_path, capsys, case)
+
+
+def bad_values(spec, shape):
+    """A strategy of values that a key declared by ``spec`` must reject: a
+    bool, text, NaN, 2**63, a wrong length, an out-of-range entry or a
+    non-list, as far as each applies to the key's kind."""
+    kind = cli._kind(spec)
+    strategies = [st.just(math.nan), st.just({"x": 1})]
+    if kind != "bool":
+        strategies.append(st.booleans())
+    if kind not in ("text", "str", "family") and not spec.choices:
+        strategies.append(st.text(max_size=5))
+    if kind in ("str", "family") or spec.choices:
+        strategies.append(st.text(max_size=5).filter(
+            lambda t: t not in spec.choices and t not in cli.FAMILIES))
+    if kind == "int" and spec.high is None:
+        strategies.append(st.integers(min_value=cli.COUNT_MAX + 1, max_value=2**80))
+    if kind == "int" and spec.low is not None:
+        strategies.append(st.integers(max_value=spec.low - 1, min_value=-2**70))
+    if kind in ("list", "array"):
+        strategies.append(st.integers() | st.floats(allow_nan=False))
+    if kind == "list":
+        strategies.append(st.just([]))
+        entry = spec.kind or type(spec.default[0]).__name__
+        if entry == "int" and spec.low is not None:
+            strategies.append(st.integers(max_value=spec.low - 1).map(lambda n: [n]))
+        if entry == "pair":
+            strategies.append(st.sampled_from([[[0.5]], [[0.6, 0.4]], [[-0.1, 0.5]],
+                                               [[0.5, 1.5]], [["0", 1]]]))
+    if kind == "array":
+        size = st.integers(0, 4).filter(lambda n: n != shape[0])
+        filler = [0.0] * (shape[1] if len(shape) > 1 else 0)
+        strategies.append(size.map(lambda n: [list(filler) if filler else 0.5] * n))
+    if kind == "array" and spec.low is not None:
+        strategies.append(st.floats(max_value=spec.low, exclude_max=True,
+                                    allow_infinity=False).map(lambda x: [x] * shape[0]))
+    return st.one_of(strategies)
+
+
+def broken_keys(command):
+    """One declared key of a command broken with a bad value: a params key, a
+    top-level key or a mehler key, as (section, key, value)."""
+    declared = [("params", key, cli._param(spec))
+                for key, spec in cli.EXPERIMENTS[command].params.items()]
+    declared += [("config", key, cli.CONFIG[key]) for key in ("seed", "workers")]
+    declared += [("mehler", key, cli._param(spec)) for key, spec in cli.MEHLER.items()]
+    merged = cli.merge("params", SMOKE_CONFIGS[command], cli.EXPERIMENTS[command].params)
+
+    def broken(section, key, spec):
+        shape = tuple(merged.get(n, n) for n in spec.shape)
+        return bad_values(spec, shape).map(lambda value: (section, key, value))
+
+    return st.sampled_from(declared).flatmap(lambda entry: broken(*entry))
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_CONFIGS))
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_every_declared_key_rejects_a_bad_value_before_any_draw(command, data):
+    section, key, value = data.draw(broken_keys(command))
+    config = {"command": command, "mehler": dict(SMALL_MEHLER),
+              "params": dict(SMOKE_CONFIGS[command])}
+    if section == "config":
+        config[key] = value
+    else:
+        config[section][key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        for module, name in FIRST_DRAWS:
+            patch.setattr(module, name, refuse)
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(err):
+            assert main(["--config", str(path), "--out", str(Path(tmp) / "out")]) == 2
+    message = err.getvalue()
+    assert message.startswith("error in config ") and message.count("\n") == 1
+    assert repr(key) in message
 
 
 LOADED_AFTER_EACH_RUN = """
