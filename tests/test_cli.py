@@ -501,7 +501,7 @@ def bad_values(spec, shape):
     bool, text, NaN, 2**63, a wrong length, an out-of-range entry or a
     non-list, as far as each applies to the key's kind."""
     kind = cli._kind(spec)
-    strategies = [st.just(math.nan), st.just({"x": 1})]
+    strategies = [st.sampled_from([math.nan, math.inf, -math.inf, {"x": 1}])]
     if kind != "bool":
         strategies.append(st.booleans())
     if kind not in ("text", "str", "family") and not spec.choices:
@@ -517,7 +517,7 @@ def bad_values(spec, shape):
         strategies.append(st.integers() | st.floats(allow_nan=False))
     if kind == "list":
         strategies.append(st.just([]))
-        entry = spec.kind or type(spec.default[0]).__name__
+        entry = cli._kind(spec._replace(default=spec.default[0]))
         if entry == "int" and spec.low is not None:
             strategies.append(st.integers(max_value=spec.low - 1).map(lambda n: [n]))
         if entry == "pair":
