@@ -667,14 +667,6 @@ def run_sk_convergence(params, seed, workers, cfg):
     return rows
 
 
-def list_experiments() -> list[dict]:
-    return [
-        {"name": name, "description": e.description, "theory": e.theory,
-         "params": {key: _param(spec).default for key, spec in e.params.items()}}
-        for name, e in EXPERIMENTS.items()
-    ]
-
-
 def run(config: dict) -> dict:
     """Execute one experiment config; returns the report dictionary."""
     return _execute(*_settings(config))

@@ -19,9 +19,13 @@ row dimension, so it can round differently from xi L^T in the last bit where
 the BLAS treats that edge differently (with OpenBLAS: some path counts of 129
 or more that are not multiples of 8).
 
-The supremum comparison walks each worker chunk in the blocks of
-``parallel.block_bounds``, so it never holds a chunk's draws, paths and
-solutions at once, and every block of a chunk reuses the same arrays.  Under
+``euler_solve`` can overwrite the paths with the solution, with the bits of
+a solve into a separate array; the supremum comparison and the Delta
+estimator solve in place, so a solve allocates no array of its own.  The
+supremum comparison walks each worker chunk in the blocks of
+``parallel.block_bounds``, so it never holds a chunk's draws and paths at
+once, and every block of a chunk reuses one array of draws and one of paths.
+The main run takes a block's fBm maxima before it solves the block.  Under
 that layout the synthesis product, the one step whose bits can depend on the
 blocks, gives the one-block product's bits (see ``parallel``).  The pilot
 adds each block's sum over its paths into one total, in block order.
@@ -177,15 +181,20 @@ def euler_solve(x0: float, drift: DriftSpec, fbm_paths: np.ndarray,
 
     The solution goes into ``out`` when given, and otherwise keeps the memory
     order of ``fbm_paths``, so time-major paths give contiguous steps.
+    ``out`` may be ``fbm_paths`` itself: the increments are written first,
+    from the last step back (so step k - 1 still holds the path when step k
+    is differenced), and the forward steps then add F_k and b(F_k) dt_k to
+    them, the roundings of the out-of-place solve in the same order.
     """
     fbm_paths = np.asarray(fbm_paths, dtype=float)
     dts = np.diff(times)
     if out is None:
         out = np.empty_like(fbm_paths)
+    for k in range(dts.size, 0, -1):
+        np.subtract(fbm_paths[..., k], fbm_paths[..., k - 1], out=out[..., k])
     out[..., 0] = x0
     for k in range(dts.size):
         prev, step = out[..., k], out[..., k + 1]
-        np.subtract(fbm_paths[..., k + 1], fbm_paths[..., k], out=step)
         step += prev
         step += drift.b(prev) * dts[k]
     return out
@@ -267,7 +276,8 @@ def delta_fbm(grid: FbmGrid, drift: DriftSpec, pairs, x0: float = 0.0,
     def cumulative(xi):
         """Time-major exponent c, (m + 1,) + xi.shape[:-1], of the paths of
         xi, and whether it is all zeros."""
-        values = euler_solve(x0, drift, paths_from_whitened(space, xi), times)
+        paths = paths_from_whitened(space, xi)
+        values = euler_solve(x0, drift, paths, times, out=paths)
         c = np.moveaxis(_cumulative_bprime(values, drift, times), -1, 0)
         return c, _zero_exponent(c)
 
@@ -318,34 +328,33 @@ def sup_comparison(grid: FbmGrid, drift: DriftSpec, x0: float = 0.0,
     times = grid.times
     rows = grid.n_steps + 1
 
-    def solved_blocks(chunk, rng):
-        """(start, stop, paths, solution) per block of the chunk; every block
-        is written into the same three arrays."""
+    def path_blocks(chunk, rng):
+        """(start, stop, paths) per block of the chunk; every block is drawn
+        into the same two arrays, and is solved in place by its caller."""
         bounds = block_bounds(chunk)
         width = widest_block(bounds)
-        xi = np.empty((width, space.dim))
-        paths, solution = np.empty((rows, width)), np.empty((rows, width))
+        xi, paths = np.empty((width, space.dim)), np.empty((rows, width))
         for start, stop in bounds:
             size = stop - start
             rng.standard_normal(out=xi[:size])
-            block = paths_from_whitened(space, xi[:size], out=paths[:, :size])
-            yield start, stop, block, euler_solve(x0, drift, block, times,
-                                                  out=solution[:, :size].T)
+            yield start, stop, paths_from_whitened(space, xi[:size],
+                                                   out=paths[:, :size])
 
     def pilot_job(chunk, rng):
         total = np.zeros(rows)
-        for _, _, _, values in solved_blocks(chunk, rng):
-            total += values.sum(axis=0)
+        for _, _, block in path_blocks(chunk, rng):
+            total += euler_solve(x0, drift, block, times, out=block).sum(axis=0)
         return total
 
     mean_path = sum(run_chunked(n_paths, workers, seed, 0xF1A, pilot_job)) / n_paths
 
     def main_job(chunk, rng):
         sde_max, fbm_max = np.empty(chunk), np.empty(chunk)
-        for start, stop, paths, values in solved_blocks(chunk, rng):
+        for start, stop, block in path_blocks(chunk, rng):
+            block.max(axis=-1, out=fbm_max[start:stop])
+            values = euler_solve(x0, drift, block, times, out=block)
             values -= mean_path
             values.max(axis=-1, out=sde_max[start:stop])
-            paths.max(axis=-1, out=fbm_max[start:stop])
         return sde_max, fbm_max
 
     maxima = run_chunked(n_paths, workers, seed, 0xF1B, main_job)

@@ -3,7 +3,10 @@
 A job of ``total`` outer samples is split into ``workers`` contiguous chunks;
 chunk c draws from an independent stream seeded by (seed, label, c).  Results
 are merged in chunk order, so the output is a function of (seed, workers)
-only, regardless of how many threads actually ran.
+only, regardless of how many threads actually ran.  The calling thread runs
+chunk 0, and a pool of at most ``os.cpu_count() - 1`` threads (at least one)
+runs the rest, so a large ``workers`` makes many chunks but never more
+threads than cores.
 
 A plain Monte Carlo job walks its chunk in blocks laid out by
 ``block_bounds``, so that it holds one block of draws and values at a time:
@@ -19,6 +22,7 @@ solved on its own (4096 + 3 paths as 4096 and 3), can round differently.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,13 +49,15 @@ def widest_block(bounds: list[tuple[int, int]]) -> int:
 
 
 def run_chunked(total: int, workers: int, seed: int, label: int, job):
-    """Run ``job(chunk_size, rng)`` per chunk; return results in chunk order."""
+    """Run ``job(chunk_size, rng)`` per chunk, chunk 0 on the calling thread;
+    return results in chunk order."""
     sizes = chunk_sizes(total, workers)
     rngs = [
         np.random.default_rng(np.random.SeedSequence([seed, label, c]))
         for c in range(len(sizes))
     ]
-    if len(sizes) == 1:
-        return [job(sizes[0], rngs[0])]
-    with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
-        return list(pool.map(job, sizes, rngs))
+    threads = max(1, min(len(sizes) - 1, (os.cpu_count() or 1) - 1))
+    # An executor starts its threads on submit, so one chunk starts none.
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        rest = pool.map(job, sizes[1:], rngs[1:])
+        return [job(sizes[0], rngs[0]), *rest]

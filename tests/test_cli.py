@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import wienergamma
 from wienergamma import cli, comparison, engine, fbm, sk
-from wienergamma.cli import close, list_experiments, lower, main, run, upper, write_report
+from wienergamma.cli import EXPERIMENTS, close, lower, main, run, upper, write_report
 from wienergamma.engine import Estimate, MehlerConfig
 from wienergamma.parallel import BLOCK, block_bounds
 from wienergamma.sk import IID_GAUSSIAN, gamma_f_bound_check, medium_sample
@@ -125,14 +125,11 @@ class TestRowConstructors:
 
 
 def test_catalog_has_twelve_stable_entries():
-    catalog = list_experiments()
-    assert len(catalog) == 12
-    assert catalog == list_experiments()
-    for entry in catalog:
-        assert entry["theory"]
-        assert entry["description"]
-    names = {e["name"] for e in catalog}
-    assert names == {
+    assert len(EXPERIMENTS) == 12
+    for entry in EXPERIMENTS.values():
+        assert entry.theory
+        assert entry.description
+    assert set(EXPERIMENTS) == {
         "gamma", "ibp-check", "poincare", "sudakov", "slepian", "concentration",
         "perturbation", "fbm-sde", "sk-free-energy", "sk-generic-bound",
         "sk-gamma-bound", "sk-convergence",

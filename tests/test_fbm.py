@@ -261,6 +261,22 @@ class TestTanhDrift:
 
 
 class TestEuler:
+    @pytest.mark.parametrize("layout", ["one-path", "time-major", "path-major"])
+    @pytest.mark.parametrize("drift", [ZERO_DRIFT, TANH_DRIFT, NEG_TANH_DRIFT],
+                             ids=["zero", "tanh", "neg-tanh"])
+    def test_in_place_gives_the_out_of_place_bits(self, drift, layout):
+        grid = uniform_grid(0.7, 1.0, 32)
+        space = fbm_space(grid)
+        lead = () if layout == "one-path" else (50,)
+        xi = np.random.default_rng(44).standard_normal(lead + (grid.n_steps,))
+        paths = paths_from_whitened(space, xi)
+        if layout == "path-major":
+            paths = np.ascontiguousarray(paths)
+        expected = euler_solve(0.4, drift, paths, grid.times)
+        solved = euler_solve(0.4, drift, paths, grid.times, out=paths)
+        assert solved is paths
+        assert solved.tobytes() == expected.tobytes()
+
     def test_zero_drift_reproduces_path(self):
         grid = uniform_grid(0.7, 1.0, 32)
         paths, _ = fbm_sample(grid, np.random.default_rng(9), size=10)
@@ -604,6 +620,17 @@ class TestSupComparison:
         peak = traced_peak_mb(sup_comparison, grid, TANH_DRIFT, n_paths=50_000,
                               seed=29)
         assert peak < 25.0
+
+    def test_chunk_holds_one_path_block(self):
+        # One chunk of two blocks holds the block's draws and one array of
+        # paths, which each block is solved into; a second (m + 1) x BLOCK
+        # array (4.2 MB) would pass the bound.
+        grid = uniform_grid(0.7, 1.0, 128)
+        draws_mb = BLOCK * grid.n_steps * 8 / 1e6
+        paths_mb = BLOCK * (grid.n_steps + 1) * 8 / 1e6
+        peak = traced_peak_mb(sup_comparison, grid, TANH_DRIFT, n_paths=2 * BLOCK,
+                              seed=29, workers=1)
+        assert peak < draws_mb + paths_mb + 2.0
 
     @pytest.mark.parametrize("n_paths, bounds", [
         (1, [(0, 1)]),
