@@ -65,13 +65,12 @@ from .fbm import (
 from .grammar import parse_expression
 from .parallel import block_bounds
 from .sk import (
-    Medium,
     TEST_MAPS,
     MediumFamily,
     convergence_experiment,
     free_energy_exact,
     free_energy_reference,
-    gamma_f_bound_check,
+    gamma_f_bounds,
     generic_bound_check,
     medium_batch,
     medium_sample,
@@ -638,12 +637,9 @@ def run_sk_gamma_bound(params, seed, workers, cfg):
     rows = []
     for family in params["families"]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6B]))
-        media = [Medium(n, coupling, gamma_diag) for coupling, gamma_diag
-                 in zip(*medium_batch(family, n, rng, params["n_media"]))]
+        couplings, gamma_diags = medium_batch(family, n, rng, params["n_media"])
         for beta in params["betas"]:
-            bounds = [gamma_f_bound_check(medium, beta) for medium in media]
-            lhs = np.array([b.lhs for b in bounds])
-            rhs = np.array([b.rhs for b in bounds])
+            lhs, rhs = gamma_f_bounds(couplings, gamma_diags, beta)
             # The relative and absolute floors absorb rounding in an exact bound.
             rows.append(_tightest(f"sk/gamma-bound/{family.label(n)}/beta={beta:g}",
                                   lhs, rhs, 0.0, rhs * (1.0 + 1e-12) + 1e-300 - lhs,

@@ -20,6 +20,7 @@ rows of ``np.eye(n)`` as directions.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable
@@ -525,11 +526,18 @@ class RandomField:
         return frozenset().union(*(f.coordinates() for f in self.components))
 
     def constant_gradients(self) -> np.ndarray | None:
-        """(d, n) gradient matrix when every component is affine, else None."""
+        """(d, n) gradient matrix when every component is affine, else None;
+        computed once per field and read-only."""
+        return self._constant_gradients
+
+    @functools.cached_property
+    def _constant_gradients(self) -> np.ndarray | None:
         if not all(f.expr.is_affine() for f in self.components):
             return None
         origin = np.zeros(self.space.dim)
-        return np.stack([f.gradient(origin) for f in self.components])
+        grads = np.stack([f.gradient(origin) for f in self.components])
+        grads.setflags(write=False)
+        return grads
 
 
 def make_field(space: WienerSpace, exprs: Iterable[Expression],

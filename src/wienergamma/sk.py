@@ -16,6 +16,12 @@ sigma_A J_AB sigma_B, and a chunk of media costs one batched matmul and one
 log-sum-exp per medium.  Since H(sigma) = H(-sigma), B's top spin is fixed to
 +1 and the half sum is doubled.
 
+The Gibbs two-point functions come from the same split: one kernel builds the
+max-shifted weight table W (media, 2^a, 2^(b-1)) for both, and the
+correlation blocks are S_A^T diag(W 1) S_A, S_B^T diag(1^T W) S_B and
+S_A^T W S_B.  ``gibbs_weights``, the weights of all 2^N configurations in Gray
+order, is the reference they are tested against.
+
 Media families carry their per-entry Gamma data analytically: for Gaussian
 entries Gamma is the (deterministic) covariance, and for the normalized
 chi-square family Gamma_{J_e, J_e} is the sampled mean of the squared
@@ -42,9 +48,13 @@ def coupling_scale(n: int) -> float:
     return 2.0 / math.sqrt(2.0 * n)
 
 
+@functools.lru_cache(maxsize=32)
 def upper_pairs(n: int):
-    """Row-major half-index order: (1,0), (2,0), (2,1), (3,0), ..."""
+    """Row-major half-index order: (1,0), (2,0), (2,1), (3,0), ...; the two
+    index arrays are cached and read-only."""
     rows, cols = np.tril_indices(n, k=-1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     return rows, cols
 
 
@@ -159,6 +169,35 @@ def free_energy_reference(coupling: np.ndarray, beta: float) -> FreeEnergyResult
     return FreeEnergyResult(_log_mean_exp(configurations(), n))
 
 
+def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign tables of the block split: half A's first a = N - N//2 spins over
+    all 2^a configurations, and half B's N//2 spins over the configurations
+    with top spin +1 (B's one empty row when N = 1)."""
+    a, b = n - n // 2, n // 2
+    return _signs(a), _signs(b)[:(2**b + 1) // 2]
+
+
+def _split_weights(couplings: np.ndarray, beta: float):
+    """Yield (chunk, peak, w) per chunk of ``ENERGY_CHUNK`` energy cells of a
+    stack of media (B, N, N): w[c, s, t] = exp(-beta H - peak[c]) over the
+    split table, half A's configuration s and half B's t, where each energy is
+    Q_A(sigma_A) + Q_B(sigma_B) + sigma_A J_AB sigma_B^T; peak[c] is medium
+    c's largest exponent."""
+    n = couplings.shape[-1]
+    s_a, s_b = _split_tables(n)
+    a = s_a.shape[1]
+    step = max(1, ENERGY_CHUNK // (len(s_a) * len(s_b)))
+    for lo in range(0, len(couplings), step):
+        j = (-beta / math.sqrt(2.0 * n)) * couplings[lo:lo + step]
+        x = (s_a @ (2.0 * j[:, :a, a:])) @ s_b.T
+        x += np.einsum("si,csi->cs", s_a, s_a @ j[:, :a, :a])[:, :, None]
+        x += np.einsum("ti,cti->ct", s_b, s_b @ j[:, a:, a:])[:, None, :]
+        peak = x.max(axis=(1, 2))
+        x -= peak[:, None, None]
+        np.exp(x, out=x)
+        yield slice(lo, lo + step), peak, x
+
+
 def free_energy_batch(couplings: np.ndarray, beta: float) -> np.ndarray:
     """(1/N) log Z for a stack of media (B, N, N) by a block split.
 
@@ -175,21 +214,11 @@ def free_energy_batch(couplings: np.ndarray, beta: float) -> np.ndarray:
     n = couplings.shape[-1]
     if n > MAX_EXACT_SPINS:
         raise ValueError(f"enumeration is limited to N <= {MAX_EXACT_SPINS}")
-    a, b = n - n // 2, n // 2
-    s_a = _signs(a)
-    s_b = _signs(b)[:(2**b + 1) // 2]  # top spin +1; B's one empty row if b = 0
-    offset = math.log(2**b // len(s_b)) - n * math.log(2.0)
-    step = max(1, ENERGY_CHUNK // (len(s_a) * len(s_b)))
+    s_b = _split_tables(n)[1]
+    offset = math.log(2 ** (n // 2) // len(s_b)) - n * math.log(2.0)
     result = np.empty(len(couplings))
-    for lo in range(0, len(result), step):
-        j = (-beta / math.sqrt(2.0 * n)) * couplings[lo:lo + step]
-        x = (s_a @ (2.0 * j[:, :a, a:])) @ s_b.T
-        x += np.einsum("si,csi->cs", s_a, s_a @ j[:, :a, :a])[:, :, None]
-        x += np.einsum("ti,cti->ct", s_b, s_b @ j[:, a:, a:])[:, None, :]
-        peak = x.max(axis=(1, 2))
-        x -= peak[:, None, None]
-        np.exp(x, out=x)
-        result[lo:lo + step] = (peak + np.log(x.sum(axis=(1, 2))) + offset) / n
+    for chunk, peak, w in _split_weights(couplings, beta):
+        result[chunk] = (peak + np.log(w.sum(axis=(1, 2))) + offset) / n
     return result
 
 
@@ -198,10 +227,10 @@ def free_energy_batch(couplings: np.ndarray, beta: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gibbs_weights(coupling: np.ndarray, beta: float):
-    """Normalized weights exp(-beta H(sigma)) over all configurations."""
+    """Normalized weights exp(-beta H(sigma)) over all configurations, in
+    Gray order: the reference enumeration for ``spin_correlations``."""
     n = coupling.shape[0]
-    if n > MAX_GIBBS_SPINS:
-        raise ValueError(f"exact Gibbs averages are limited to N <= {MAX_GIBBS_SPINS}")
+    _check_gibbs_size(n)
     signs = _signs(n)
     energies = ((signs @ coupling) * signs).sum(axis=1) / math.sqrt(2.0 * n)
     logits = -beta * energies
@@ -211,10 +240,35 @@ def gibbs_weights(coupling: np.ndarray, beta: float):
     return signs, weights
 
 
-def spin_correlations(coupling: np.ndarray, beta: float) -> np.ndarray:
-    """Matrix of two-point functions <sigma_i sigma_j> under the Gibbs law."""
-    signs, weights = gibbs_weights(coupling, beta)
-    return (signs * weights[:, None]).T @ signs
+def _check_gibbs_size(n: int):
+    if n > MAX_GIBBS_SPINS:
+        raise ValueError(f"exact Gibbs averages are limited to N <= {MAX_GIBBS_SPINS}")
+
+
+def spin_correlations(couplings: np.ndarray, beta: float) -> np.ndarray:
+    """Two-point functions <sigma_i sigma_j> under the Gibbs law of one
+    medium (N, N) or of each of a stack (B, N, N), with the input's shape.
+
+    With the weight table W of the block split normalized to sum 1 (the flip
+    symmetry leaves every product sigma_i sigma_j unchanged, so B's half of
+    the configurations stands for all), the blocks are S_A^T diag(W 1) S_A,
+    S_B^T diag(1^T W) S_B and S_A^T W S_B, one small matmul each per medium:
+    a medium gets the same bits alone or in any stack.
+    """
+    couplings = np.asarray(couplings, dtype=float)
+    n = couplings.shape[-1]
+    _check_gibbs_size(n)
+    s_a, s_b = _split_tables(n)
+    a = s_a.shape[1]
+    stack = couplings.reshape(-1, n, n)
+    corr = np.empty(stack.shape)
+    for chunk, _, w in _split_weights(stack, beta):
+        w /= w.sum(axis=(1, 2))[:, None, None]
+        corr[chunk, :a, :a] = s_a.T @ (w.sum(axis=2)[:, :, None] * s_a)
+        corr[chunk, a:, a:] = s_b.T @ (w.sum(axis=1)[:, :, None] * s_b)
+        corr[chunk, :a, a:] = (s_a.T @ w) @ s_b
+        corr[chunk, a:, :a] = corr[chunk, :a, a:].transpose(0, 2, 1)
+    return corr.reshape(couplings.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +484,11 @@ class GammaFBound:
     rhs: float  # (2 beta^2 / N^3) sum |Gamma_{J_e, J_e}|
 
 
-def gamma_f_bound_check(medium: Medium, beta: float) -> GammaFBound:
-    """Both sides of the diagonal-coupling bound on Gamma of the free energy.
+def gamma_f_bounds(couplings: np.ndarray, gamma_diags: np.ndarray,
+                   beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the diagonal-coupling bound on Gamma of the free energy,
+    (lhs, rhs) arrays over a stack of media (B, N, N) and their per-entry
+    Gamma data; each medium's pair is ``gamma_f_bound_check``'s, bit for bit.
 
     Gamma_{F_N, F_N} = (beta^2/N^2) E x E-tilde [ Gamma_{H(sigma), H(sigma~)} ]
     over two independent Gibbs copies; with diagonal entry data this reduces
@@ -440,14 +497,23 @@ def gamma_f_bound_check(medium: Medium, beta: float) -> GammaFBound:
     side dominates term by term.  (The two-copy identity drops cross-entry
     Gamma contributions; it is exact for media with vanishing cross-Gamma.)
     """
-    n = medium.n
-    corr = spin_correlations(medium.coupling, beta)
-    rows, cols = upper_pairs(n)
-    gamma_entries = medium.gamma_diag[rows, cols]
+    n = np.shape(couplings)[-1]
+    corr = spin_correlations(couplings, beta).reshape(-1, n * n)
+    # Entries in half-index order, one C-ordered row per medium (``take``, as
+    # x[:, pairs] is F-ordered), so each row sum has a one-medium sum's bits.
+    pairs = np.ravel_multi_index(upper_pairs(n), (n, n))
+    gamma_entries = np.take(np.reshape(gamma_diags, (-1, n * n)), pairs, axis=1)
     coeff = 2.0 * beta**2 / n**3
-    lhs = abs(coeff * float(np.sum(gamma_entries * corr[rows, cols] ** 2)))
-    rhs = coeff * float(np.sum(np.abs(gamma_entries)))
-    return GammaFBound(lhs=lhs, rhs=rhs)
+    lhs = np.abs(coeff * np.sum(gamma_entries * np.take(corr, pairs, axis=1) ** 2, axis=1))
+    rhs = coeff * np.sum(np.abs(gamma_entries), axis=1)
+    return lhs, rhs
+
+
+def gamma_f_bound_check(medium: Medium, beta: float) -> GammaFBound:
+    """Both sides of the diagonal-coupling bound on Gamma of the free energy
+    for one medium (see ``gamma_f_bounds``)."""
+    lhs, rhs = gamma_f_bounds(medium.coupling[None], medium.gamma_diag[None], beta)
+    return GammaFBound(lhs=float(lhs[0]), rhs=float(rhs[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,8 @@ class TestFunctionalHelpers:
         field = make_field(space, [w(0) + 2.0 * w(1), w(2) - w(0)])
         grads = field.constant_gradients()
         assert np.allclose(grads, [[1.0, 2.0, 0.0], [-1.0, 0.0, 1.0]])
+        assert field.constant_gradients() is grads  # computed once per field
+        assert not grads.flags.writeable
 
     def test_constant_gradients_none_for_nonaffine(self):
         space = build_space(2)

@@ -7,10 +7,12 @@ from scipy import integrate, special, stats
 from wienergamma.chaos import form, gamma_oracle
 from wienergamma.cli import upper
 from wienergamma.core import build_space
+from wienergamma import sk
 from wienergamma.engine import Estimate, difference, mean_estimate
 from wienergamma.sk import (
     ENERGY_CHUNK,
     IID_GAUSSIAN,
+    Medium,
     MediumFamily,
     chaos2_abs_gamma_gap,
     chaos2_star_coupling,
@@ -21,6 +23,7 @@ from wienergamma.sk import (
     free_energy_exact,
     free_energy_reference,
     gamma_f_bound_check,
+    gamma_f_bounds,
     generic_bound_check,
     gibbs_weights,
     medium_batch,
@@ -140,8 +143,65 @@ class TestFreeEnergyExact:
         with pytest.raises(ValueError, match="N <= 24"):
             free_energy_batch(np.zeros((1, 25, 25)), 1.0)
 
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_stack_gives_one_medium_bits(self, n):
+        # Three chunks at N = 12; a medium's free energy does not depend on
+        # the media beside it.
+        per_chunk = ENERGY_CHUNK // 2 ** (n - 1)
+        rng = np.random.default_rng(52)
+        js = np.stack([random_coupling(n, rng) for _ in range(min(2 * per_chunk + 1, 40))])
+        for beta in (0.0, 0.9):
+            batch = free_energy_batch(js, beta)
+            assert np.array_equal(batch, [free_energy_batch(j[None], beta)[0] for j in js])
+
+
+def gray_correlations(coupling, beta) -> np.ndarray:
+    """<sigma_i sigma_j> from the weights of all 2^N configurations."""
+    signs, weights = gibbs_weights(coupling, beta)
+    return (signs * weights[:, None]).T @ signs
+
 
 class TestGibbs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.4])
+    def test_split_matches_gray_enumeration(self, n, beta):
+        # N = 1 leaves half B empty.
+        j = random_coupling(n, np.random.default_rng(60 + n))
+        corr = spin_correlations(j, beta)
+        assert corr.shape == (n, n)
+        assert np.array_equal(corr, corr.T)
+        assert np.max(np.abs(corr - gray_correlations(j, beta))) <= 1e-13
+        if beta == 0.0:
+            assert np.array_equal(corr, np.eye(n))
+
+    @pytest.mark.parametrize("n", [1, 6, 12])
+    def test_stack_gives_one_medium_bits(self, n):
+        # Three chunks at N = 12, so chunk boundaries are crossed too.
+        per_chunk = ENERGY_CHUNK // 2 ** (n - 1)
+        count = min(2 * per_chunk + 1, 40)
+        family = MediumFamily("clt-chaos2", m=2)
+        couplings, gammas = medium_batch(family, n, np.random.default_rng(61), count)
+        for beta in (0.5, 1.4):
+            corr = spin_correlations(couplings, beta)
+            assert corr.shape == (count, n, n)
+            lhs, rhs = gamma_f_bounds(couplings, gammas, beta)
+            for k in range(count):
+                assert np.array_equal(corr[k], spin_correlations(couplings[k], beta))
+                one = gamma_f_bound_check(Medium(n, couplings[k], gammas[k]), beta)
+                assert (one.lhs, one.rhs) == (lhs[k], rhs[k])
+
+    def test_size_guard_before_any_work(self, monkeypatch):
+        def no_enumeration(n):
+            raise AssertionError("enumerated past the size guard")
+
+        monkeypatch.setattr(sk, "_signs", no_enumeration)
+        for call in (lambda: gibbs_weights(np.zeros((21, 21)), 1.0),
+                     lambda: spin_correlations(np.zeros((21, 21)), 1.0),
+                     lambda: spin_correlations(np.zeros((3, 21, 21)), 1.0),
+                     lambda: gamma_f_bounds(np.zeros((3, 21, 21)), np.ones((3, 21, 21)), 1.0)):
+            with pytest.raises(ValueError, match="N <= 20"):
+                call()
+
     def test_uniform_measure_at_beta_zero(self):
         j = random_coupling(4, np.random.default_rng(6))
         corr = spin_correlations(j, 0.0)
@@ -179,6 +239,13 @@ class TestMediumFamilies:
         assert np.all(med.gamma_diag[rows, cols] == 1.0)
         assert np.all(np.diag(med.coupling) == 0.0)
         assert np.array_equal(med.coupling, med.coupling.T)
+
+    def test_upper_pairs_are_cached_and_read_only(self):
+        rows, cols = upper_pairs(5)
+        assert upper_pairs(5)[0] is rows and upper_pairs(5)[1] is cols
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert np.array_equal(rows, [1, 2, 2, 3, 3, 3, 4, 4, 4, 4])
+        assert np.array_equal(cols, [0, 0, 1, 0, 1, 2, 0, 1, 2, 3])
 
     def test_chaos2_gamma_is_mean_square(self):
         med = medium_sample(MediumFamily("clt-chaos2", m=4), 5, np.random.default_rng(11))
